@@ -17,11 +17,11 @@ from .checkpoint import CheckpointError, model_from_checkpoint, save_checkpoint
 from .dataset import (CLASS_NAMES, ClassLabel, ManifestConfig, SPLITS, class_distribution,
                       default_mapping, from_manifest, parse_manifest)
 from .images import intensity_histogram, load_image
-from .losses import FocalParams
-from .metrics import per_class_accuracy
+from .losses import FocalParams, cross_entropy
+from .metrics import per_class_from_confusion
 from .synth import synthetic_bundle, write_synthetic_dataset
 from .training import (PRESETS, TrainConfig, TrainingAborted, canonical_preset, evaluate,
-                       fit, make_loss, parse_metrics_csv)
+                       fit, parse_metrics_csv)
 from .verification import run_scope, settings
 
 
@@ -189,22 +189,13 @@ def cmd_eval(args) -> int:
         raise UsageError(f"checkpoint has {model.num_classes} classes "
                          f"but the data source has {bundle.num_classes}")
     records = {"train": bundle.train, "val": bundle.val, "test": bundle.test}[args.split]
-    loss_fn = make_loss(TrainConfig(preset="RCE", num_classes=bundle.num_classes))
-    loss, acc, conf = evaluate(model, records, bundle, loss_fn, args.batch_size)
+    loss, acc, conf = evaluate(model, records, bundle, cross_entropy, args.batch_size)
     print(f"split={args.split} loss={loss:.4f} accuracy={acc:.4f}")
-    per_class = per_class_accuracy_from_confusion(conf)
+    per_class = per_class_from_confusion(conf)
     for ci in range(bundle.num_classes):
         pc = "n/a" if np.isnan(per_class[ci]) else f"{per_class[ci]:.4f}"
         print(f"  class {ci}: acc={pc} row={conf[ci].tolist()}")
     return 0
-
-
-def per_class_accuracy_from_confusion(conf: np.ndarray) -> np.ndarray:
-    totals = conf.sum(axis=1)
-    out = np.full(conf.shape[0], np.nan)
-    mask = totals > 0
-    out[mask] = conf.diagonal()[mask] / totals[mask]
-    return out
 
 
 def cmd_gradcheck(args) -> int:

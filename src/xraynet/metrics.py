@@ -34,10 +34,13 @@ def confusion(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> np.nd
 
 
 def per_class_accuracy(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    return per_class_from_confusion(confusion(logits, labels, num_classes))
+
+
+def per_class_from_confusion(mat: np.ndarray) -> np.ndarray:
     """diagonal / row sum; classes with no samples report NaN (undefined)."""
-    mat = confusion(logits, labels, num_classes)
     totals = mat.sum(axis=1)
-    out = np.full(num_classes, np.nan)
+    out = np.full(mat.shape[0], np.nan)
     present = totals > 0
     out[present] = mat.diagonal()[present] / totals[present]
     return out

@@ -127,21 +127,18 @@ def _kaiming_uniform(shape, fan_in: int, rng: Pcg32, dtype) -> np.ndarray:
 
 
 class Conv2d:
-    """Conv layer; `bias=False` for convs feeding batch norm, where a bias
-    would be cancelled by the mean subtraction (a dead parameter)."""
+    """Bias-free conv layer: every conv's output reaches batch norm before
+    any nonlinearity, and its mean subtraction would cancel a bias (a dead
+    parameter). `conv2d` gets a constant zero bias."""
 
     def __init__(self, store: ParameterStore, name: str, cin: int, cout: int,
-                 k: int, stride: int, padding: int, rng: Pcg32, dtype, bias: bool = True):
+                 k: int, stride: int, padding: int, rng: Pcg32, dtype):
         self.stride = stride
         self.padding = padding
         self.kernel = store.register(
             f"{name}.kernel",
             Variable(_kaiming_uniform((cout, cin, k, k), cin * k * k, rng, dtype), requires_grad=True))
-        if bias:
-            self.bias = store.register(
-                f"{name}.bias", Variable(np.zeros(cout, dtype=dtype), requires_grad=True))
-        else:
-            self.bias = Variable(np.zeros(cout, dtype=dtype))
+        self.bias = Variable(np.zeros(cout, dtype=dtype))
 
     def __call__(self, x: Variable) -> Variable:
         return ad.conv2d(x, self.kernel, self.bias, stride=self.stride, padding=self.padding)
@@ -179,12 +176,12 @@ class ResidualBlock:
 
     def __init__(self, store: ParameterStore, name: str, cin: int, cout: int,
                  stride: int, rng: Pcg32, dtype):
-        self.conv1 = Conv2d(store, f"{name}.conv1", cin, cout, 3, stride, 1, rng, dtype, bias=False)
+        self.conv1 = Conv2d(store, f"{name}.conv1", cin, cout, 3, stride, 1, rng, dtype)
         self.bn1 = BatchNorm2d(store, f"{name}.bn1", cout, dtype)
-        self.conv2 = Conv2d(store, f"{name}.conv2", cout, cout, 3, 1, 1, rng, dtype, bias=False)
+        self.conv2 = Conv2d(store, f"{name}.conv2", cout, cout, 3, 1, 1, rng, dtype)
         self.bn2 = BatchNorm2d(store, f"{name}.bn2", cout, dtype)
         if stride != 1 or cin != cout:
-            self.proj = Conv2d(store, f"{name}.proj", cin, cout, 1, stride, 0, rng, dtype, bias=False)
+            self.proj = Conv2d(store, f"{name}.proj", cin, cout, 1, stride, 0, rng, dtype)
             self.proj_bn = BatchNorm2d(store, f"{name}.proj_bn", cout, dtype)
         else:
             self.proj = None
@@ -211,7 +208,7 @@ class DenseBlock:
         c = cin
         for i in range(layers):
             bn = BatchNorm2d(store, f"{name}.layer{i}.bn", c, dtype)
-            conv = Conv2d(store, f"{name}.layer{i}.conv", c, growth, 3, 1, 1, rng, dtype, bias=False)
+            conv = Conv2d(store, f"{name}.layer{i}.conv", c, growth, 3, 1, 1, rng, dtype)
             self.layers.append((bn, conv))
             c += growth
         self.out_channels = c
@@ -229,7 +226,7 @@ class Transition:
 
     def __init__(self, store: ParameterStore, name: str, cin: int, rng: Pcg32, dtype):
         self.bn = BatchNorm2d(store, f"{name}.bn", cin, dtype)
-        self.conv = Conv2d(store, f"{name}.conv", cin, cin // 2, 1, 1, 0, rng, dtype, bias=False)
+        self.conv = Conv2d(store, f"{name}.conv", cin, cin // 2, 1, 1, 0, rng, dtype)
         self.out_channels = cin // 2
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
@@ -249,7 +246,7 @@ class Model:
         # resnet stem: conv-bn-relu; densenet stem: bare conv, since the first
         # dense layer pre-activates (a stem bn's gamma would be scale-dead)
         self.stem_conv = Conv2d(self.store, "stem.conv", config.input_channels,
-                                config.stem_channels, 3, 1, 1, rng, self.dtype, bias=False)
+                                config.stem_channels, 3, 1, 1, rng, self.dtype)
         if config.family == "resnet":
             self.stem_bn = BatchNorm2d(self.store, "stem.bn", config.stem_channels, self.dtype)
         else:

@@ -82,7 +82,6 @@ class TrainConfig:
     freeze: bool = False
     augment: bool = True
     focal: FocalParams = field(default_factory=FocalParams)
-    class_weights: tuple[float, ...] | None = None  # weighted-CE variant
 
     def __post_init__(self):
         self.preset = canonical_preset(self.preset)
@@ -187,10 +186,9 @@ def make_loss(config: TrainConfig):
             return focal_loss(logits, targets, params)
 
         return focal
-    weights = config.class_weights
 
     def ce(logits: Variable, targets: np.ndarray) -> Variable:
-        return cross_entropy(logits, targets, class_weights=weights)
+        return cross_entropy(logits, targets)
 
     return ce
 

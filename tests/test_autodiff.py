@@ -171,6 +171,49 @@ class TestBatchNorm:
         npt.assert_allclose(rm, 0.9 * 0.0 + 0.1 * bm, rtol=1e-5)
         npt.assert_allclose(rv, 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_one_node_with_x_gamma_beta_edges(self, train):
+        rng = Pcg32(11, 0)
+        x = Variable(rng.uniform_array((2, 3, 4, 4), -1, 1).astype(np.float32), requires_grad=True)
+        gamma = Variable(np.ones(3, np.float32), requires_grad=True)
+        beta = Variable(np.zeros(3, np.float32), requires_grad=True)
+        out = ad.batch_norm(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
+                            train=train, update_running=False)
+        assert [v for v, _ in out._edges] == [x, gamma, beta]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_to_numpy_sequence(self, dtype):
+        rng = Pcg32(12, 0)
+        x = rng.uniform_array((3, 4, 5, 5), -2, 2).astype(dtype)
+        g = rng.uniform_array((4,), 0.5, 1.5).astype(dtype)
+        b = rng.uniform_array((4,), -0.5, 0.5).astype(dtype)
+        rm = rng.uniform_array((4,), -0.3, 0.3).astype(dtype)
+        rv = rng.uniform_array((4,), 0.5, 2.0).astype(dtype)
+        gs, bs = g.reshape(1, 4, 1, 1), b.reshape(1, 4, 1, 1)
+        eps = 1e-5
+
+        # train: mean, centre, mean of squares, (var + eps) ** -0.5, scale, affine
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
+        inv = (var + dtype(eps)) ** dtype(-0.5)
+        expect_train = (xc * inv) * gs + bs
+        m = x.size // 4
+        expect_rm = rm * 0.9 + 0.1 * mu.reshape(4)
+        expect_rv = rv * 0.9 + 0.1 * (var.reshape(4) * (m / (m - 1.0)))
+
+        # eval: centre and scale by the running buffers, then affine
+        scale = (1.0 / np.sqrt(rv + eps)).reshape(1, 4, 1, 1).astype(dtype)
+        expect_eval = ((x - rm.reshape(1, 4, 1, 1)) * scale) * gs + bs
+
+        out_eval = ad.batch_norm(Variable(x), Variable(g), Variable(b), rm, rv, train=False)
+        run_m, run_v = rm.copy(), rv.copy()
+        out_train = ad.batch_norm(Variable(x), Variable(g), Variable(b), run_m, run_v, train=True)
+        npt.assert_array_equal(out_eval.data, expect_eval)
+        npt.assert_array_equal(out_train.data, expect_train)
+        npt.assert_array_equal(run_m, expect_rm.astype(dtype))
+        npt.assert_array_equal(run_v, expect_rv.astype(dtype))
+
 
 class TestSimpleOps:
     def test_softmax_uniform_logits(self):
@@ -267,7 +310,7 @@ class TestBackward:
         x = Variable(np.array([0.5, -1.5, 2.0], dtype=np.float32), requires_grad=True)
 
         def f():
-            return ad.badd(ad.sum_axes(ad.bmul(x, x)), ad.sum_axes(ad.mulc(x, 3.0)))
+            return ad.add(ad.sum_axes(ad.bmul(x, x)), ad.sum_axes(ad.mulc(x, 3.0)))
 
         backward(f())
         npt.assert_allclose(x.grad, 2 * x.data + 3, rtol=1e-6)
