@@ -5,15 +5,15 @@ gradient verification) together with an accumulated gradient and the graph
 edges needed for backpropagation. Ops are pure functions: they build a new
 `Variable` whose recorded edges carry vector-Jacobian closures back to each
 differentiable input. `backward` propagates from a scalar root in reverse
-topological order and adds the result into each reachable Variable's
-gradient, so calling it twice without zeroing doubles the gradients.
+topological order and adds the result into each reachable leaf's gradient,
+so calling it twice without zeroing doubles the gradients.
 
 The op set is exactly what small residual/dense image classifiers require:
 conv2d, batch norm (one fused node with a closed-form backward), relu,
-pooling, linear, add, channel concat, and a fused log-softmax for stable
-losses. There is no general broadcasting at the public level; only the
-internal elementwise/reduction primitives, which the losses and the
-verification probes compose, are broadcast-aware.
+pooling, linear, add, channel concat, and a fused log-softmax; each loss
+in `losses.py` is one `_op` node over the shared `_log_softmax`. No op
+broadcasts: `add` and the probe-only `bmul` require equal shapes, and the
+probe-only `sum_axes` sums everything.
 """
 
 from __future__ import annotations
@@ -81,41 +81,16 @@ def _op(data: np.ndarray, edges: Iterable[Edge]) -> Variable:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, dim in enumerate(shape):
-        if dim == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
-# elementwise / reduction primitives (internal; broadcast-aware)
+# elementwise / reduction primitives (internal: verification probes)
 # ---------------------------------------------------------------------------
-
-def bsub(a: Variable, b: Variable) -> Variable:
-    return _op(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
-    ])
-
 
 def bmul(a: Variable, b: Variable) -> Variable:
+    """Strict elementwise product: shapes must match."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"bmul: shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
-    return _op(ad * bd, [
-        (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-        (b, lambda g: _unbroadcast(g * ad, bd.shape)),
-    ])
-
-
-def mulc(x: Variable, c: float) -> Variable:
-    return _op(x.data * x.dtype.type(c), [(x, lambda g: g * c)])
-
-
-def neg(x: Variable) -> Variable:
-    return mulc(x, -1.0)
+    return _op(ad * bd, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
 
 
 def exp(x: Variable) -> Variable:
@@ -123,49 +98,10 @@ def exp(x: Variable) -> Variable:
     return _op(out, [(x, lambda g: g * out)])
 
 
-def powc(x: Variable, c: float) -> Variable:
-    """x ** c for a constant exponent.
-
-    c == 0 yields ones with zero gradient; a zero base with fractional or
-    sub-one exponent gets a zero (boundary) gradient instead of an infinity.
-    """
+def sum_axes(x: Variable) -> Variable:
+    """Sum of every element, as a 0-d result."""
     xd = x.data
-    out = xd ** x.dtype.type(c)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(xd)
-        safe = np.where(xd != 0, xd, 1.0)
-        d = c * safe ** (c - 1.0)
-        d = np.where(xd != 0, d, 0.0 if c < 1 else (1.0 if c == 1 else 0.0))
-        return (g * d).astype(xd.dtype, copy=False)
-
-    return _op(out, [(x, vjp)])
-
-
-def sum_axes(x: Variable, axis=None, keepdims: bool = False) -> Variable:
-    xd = x.data
-    out = xd.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=False)
-
-    return _op(out, [(x, vjp)])
-
-
-def mean_axes(x: Variable, axis=None, keepdims: bool = False) -> Variable:
-    xd = x.data
-    count = xd.size if axis is None else np.prod([xd.shape[a] for a in np.atleast_1d(axis)])
-    out = xd.mean(axis=axis, keepdims=keepdims)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, xd.shape) / count).astype(xd.dtype, copy=False)
-
-    return _op(out, [(x, vjp)])
+    return _op(xd.sum(), [(x, lambda g: np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=False))])
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +363,15 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
     ])
 
 
+def _log_softmax(xd: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Max-shifted log(softmax(xd)) on plain arrays; the losses share it."""
+    s = xd - xd.max(axis=axis, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(x: Variable, axis: int = 1) -> Variable:
     """Numerically stable fused log(softmax(x)) along `axis`."""
-    xd = x.data
-    m = xd.max(axis=axis, keepdims=True)
-    s = xd - m
-    lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
-    out = s - lse
+    out = _log_softmax(x.data, axis)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
@@ -469,21 +407,23 @@ def _toposort(root: Variable) -> list[Variable]:
 
 
 def backward(root: Variable) -> None:
-    """Accumulate d(root)/d(v) into v.grad for every reachable Variable.
+    """Accumulate d(root)/d(v) into v.grad for every reachable leaf (a node without edges).
 
-    The root must hold exactly one element. Propagation uses per-call
-    buffers, so repeated calls add (never overwrite) gradients.
+    The root must hold exactly one element. Each per-call buffer is dropped
+    once used, so intermediate nodes keep no gradient, and repeated calls add
+    (never overwrite) leaf gradients.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
     if not root.requires_grad:
         return
-    order = _toposort(root)
     buf: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = buf.get(id(node))
+    for node in reversed(_toposort(root)):
+        g = buf.pop(id(node), None)
         if g is None:
             continue
+        if not node._edges:
+            node._grad = g if node._grad is None else node._grad + g
         for parent, vjp in node._edges:
             contrib = vjp(g)
             acc = buf.get(id(parent))
@@ -491,14 +431,6 @@ def backward(root: Variable) -> None:
                 buf[id(parent)] = np.array(contrib, dtype=parent.data.dtype, copy=True)
             else:
                 acc += contrib
-    for node in order:
-        g = buf.get(id(node))
-        if g is None:
-            continue
-        if node._grad is None:
-            node._grad = g if g.base is None else g.copy()
-        else:
-            node._grad = node._grad + g
 
 
 def _analytic_grads(fn: Callable[[], Variable], params: list[Variable],

@@ -130,9 +130,10 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> dict:
     """Load a checkpoint into `model`, returning its metadata.
 
-    Every tensor must match the model by name and shape. When
-    `allow_head_mismatch` is set, classifier-head tensors that are missing
-    or differently shaped are skipped (the model keeps its current head).
+    Every tensor must match the model by name and shape; all are checked
+    before any is copied, so a rejected file leaves the model untouched. With
+    `allow_head_mismatch`, classifier-head tensors that are missing or
+    differently shaped are skipped (the model keeps its current head).
     """
     state, meta = read_checkpoint(path)
     digest = meta.get("digest")
@@ -145,6 +146,7 @@ def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> di
     extra = sorted(set(state) - set(targets))
     if extra:
         raise CheckpointError(f"{path}: tensors not present in the target model: {extra}")
+    copies = []
     for name, dst in targets.items():
         src = state.get(name)
         is_head = name.startswith(HEAD_PREFIX)
@@ -157,6 +159,8 @@ def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> di
                 continue
             raise CheckpointError(
                 f"{path}: shape mismatch for {name!r}: file {src.shape} vs model {dst.shape}")
+        copies.append((dst, src))
+    for dst, src in copies:
         np.copyto(dst, src.astype(dst.dtype, copy=False))
     return meta
 

@@ -1,8 +1,11 @@
 """Classification losses: categorical cross-entropy and focal loss.
 
-Both consume raw logits and route through the fused log-softmax primitive,
-so confidently classified samples cannot underflow the log. Batch reduction
-is the mean, making loss magnitude independent of batch size.
+Both take raw logits through the max-shifted log-softmax, so confident
+samples cannot underflow the log, and average over the batch. Each is one
+graph node whose single edge to the logits z has a closed-form gradient.
+With p = softmax(z): cross-entropy gives dz = (p*sum_c m_c - m)/n for
+m = targets*class_weights; the focal loss (Lin et al. 2017, arXiv:1708.02002)
+gives dz = D*(t - p)/n, D = -alpha_t*[(1-p_t)^g - g*p_t*(1-p_t)^(g-1)*log p_t].
 """
 
 from __future__ import annotations
@@ -78,9 +81,14 @@ def cross_entropy(logits: Variable, targets: np.ndarray,
         mask = targets * w
     else:
         mask = targets
-    lsm = ad.log_softmax(logits, axis=1)
-    weighted = ad.bmul(lsm, ad.constant(mask.astype(logits.dtype)))
-    return ad.neg(ad.mean_axes(ad.sum_axes(weighted, axis=1)))
+    m = mask.astype(logits.dtype)
+    lsm = ad._log_softmax(logits.data)
+    out = -(lsm * m).sum(axis=1).mean()
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        return g * (np.exp(lsm) * m.sum(axis=1, keepdims=True) - m) / n
+
+    return ad._op(out, [(logits, vjp)])
 
 
 def _check_one_hot(targets: np.ndarray) -> None:
@@ -102,9 +110,21 @@ def focal_loss(logits: Variable, targets: np.ndarray, params: FocalParams = Foca
     alpha = params.alpha_vector(c)
     alpha_t = (targets @ alpha).astype(logits.dtype)  # per-sample alpha of the true class
 
-    lsm = ad.log_softmax(logits, axis=1)
-    log_pt = ad.sum_axes(ad.bmul(lsm, ad.constant(targets.astype(logits.dtype))), axis=1)
-    pt = ad.exp(log_pt)
-    focus = ad.powc(ad.bsub(ad.constant(np.ones(n, dtype=logits.dtype)), pt), params.gamma)
-    per_sample = ad.bmul(ad.bmul(ad.constant(alpha_t), focus), log_pt)
-    return ad.neg(ad.mean_axes(per_sample))
+    t = targets.astype(logits.dtype)
+    lsm = ad._log_softmax(logits.data)
+    log_pt = (lsm * t).sum(axis=1)
+    pt = np.exp(log_pt)
+    base = np.ones(n, dtype=logits.dtype) - pt
+    gamma = params.gamma
+    focus = base ** logits.dtype.type(gamma)
+    out = -(alpha_t * focus * log_pt).mean()
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        # d focus / d base; at base == 0 it is 1 if gamma == 1, else 0 (never inf)
+        nonzero = base != 0
+        slope = np.where(nonzero, gamma * np.where(nonzero, base, 1) ** (gamma - 1.0),
+                         float(gamma == 1))
+        d = -alpha_t * (focus - slope * pt * log_pt)
+        return (g * d[:, None] * (t - np.exp(lsm)) / n).astype(logits.dtype, copy=False)
+
+    return ad._op(out, [(logits, vjp)])

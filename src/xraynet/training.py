@@ -129,16 +129,16 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, Variable], lr: float) -> None:
-        """One update over all trainable parameters; frozen ones are untouched."""
+        """One update over all trainable parameters, or none if a gradient is non-finite."""
+        live = {name: p for name, p in params.items() if p.requires_grad}
+        for name, p in live.items():
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingAborted(f"non-finite gradient in {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            if not p.requires_grad:
-                continue
+        for name, p in live.items():
             g = p.grad.astype(np.float64)
-            if not np.all(np.isfinite(g)):
-                raise TrainingAborted(f"non-finite gradient in {name!r}")
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros(p.data.shape, dtype=np.float64)

@@ -145,6 +145,8 @@ def check_losses(f64: bool = False, seed: int = 11) -> dict[str, float]:
         lambda: focal_loss(logits, targets, FocalParams(alpha=0.25, gamma=2.0)), [logits], h=h)
     errors["focal_loss_gamma0"] = grad_check(
         lambda: focal_loss(logits, targets, FocalParams(alpha=1.0, gamma=0.0)), [logits], h=h)
+    errors["focal_loss_gamma_half"] = grad_check(
+        lambda: focal_loss(logits, targets, FocalParams(alpha=0.25, gamma=0.5)), [logits], h=h)
 
     # through a linear layer: weights, bias, and input together
     xw = Variable(_positive(rng, (2, 5), dtype), requires_grad=True)

@@ -308,13 +308,27 @@ class TestBackward:
     def test_fanout_accumulates_both_paths(self):
         # y = sum(x*x) + sum(3*x): dy/dx = 2x + 3, also checked against FD
         x = Variable(np.array([0.5, -1.5, 2.0], dtype=np.float32), requires_grad=True)
+        threes = ad.constant(np.full(3, 3.0, dtype=np.float32))
 
         def f():
-            return ad.add(ad.sum_axes(ad.bmul(x, x)), ad.sum_axes(ad.mulc(x, 3.0)))
+            return ad.add(ad.sum_axes(ad.bmul(x, x)), ad.sum_axes(ad.bmul(x, threes)))
 
         backward(f())
         npt.assert_allclose(x.grad, 2 * x.data + 3, rtol=1e-6)
         assert grad_check(f, [x], h=1e-3) < 1e-2
+
+    def test_intermediate_nodes_hold_no_gradient(self):
+        x = Variable(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+        sq = ad.bmul(x, x)
+        root = ad.sum_axes(sq)
+        backward(root)
+        assert sq._grad is None and root._grad is None
+        npt.assert_allclose(x.grad, [2.0, -4.0])
+
+    def test_bmul_rejects_mismatched_shapes(self):
+        a = Variable(np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.bmul(a, Variable(np.ones((1, 3), dtype=np.float32)))
 
     def test_unreachable_variable_untouched(self):
         x = Variable(np.ones(2, dtype=np.float32), requires_grad=True)

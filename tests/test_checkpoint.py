@@ -1,9 +1,13 @@
+import struct
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from xraynet.checkpoint import (CheckpointError, load_checkpoint, model_from_checkpoint,
-                                read_checkpoint, save_checkpoint)
+from xraynet.checkpoint import (MAGIC, VERSION, CheckpointError, _meta_tensors, _pack_tensor,
+                                load_checkpoint, model_from_checkpoint, read_checkpoint,
+                                save_checkpoint)
 from xraynet.nn import build_model, mini_densenet, mini_resnet, replace_head
 from xraynet.rng import derive_stream
 
@@ -129,3 +133,22 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
     load_checkpoint(other, path)
     npt.assert_array_equal(other.store.buffers["stem.bn.running_mean"],
                            np.full(16, 0.25, dtype=np.float32))
+
+
+def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model):
+    # every tensor of a differently seeded model, but the last buffer has one
+    # entry too many: the shape check fires after all the others have passed
+    source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
+    tensors = dict(source.store.state_tensors())
+    last = list(tensors)[-1]
+    tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
+    tensors.update(_meta_tensors(source, 0, 0))
+    blob = b"".join([MAGIC, struct.pack("<II", VERSION, len(tensors))]
+                    + [_pack_tensor(n, a) for n, a in tensors.items()])
+    path = tmp_path / "bad.xrnc"
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
+    with pytest.raises(CheckpointError, match=f"shape mismatch for '{last}'"):
+        load_checkpoint(resnet_model, path)
+    for name, arr in resnet_model.store.state_tensors().items():
+        npt.assert_array_equal(arr, before[name])

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from xraynet import autodiff as ad
 from xraynet.autodiff import Variable, backward, grad_check
 from xraynet.dataset import one_hot
 from xraynet.losses import FocalParams, cross_entropy, focal_loss
@@ -22,6 +23,56 @@ def reference_ce(logits, targets, weights=None):
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     w = np.ones(z.shape[1]) if weights is None else np.asarray(weights, dtype=np.float64)
     return float(-(targets * w * logp).sum(axis=1).mean())
+
+
+def numpy_log_softmax(z):
+    s = z - z.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+LOSSES = {
+    "ce": lambda z, t: cross_entropy(z, t),
+    "ce_weighted": lambda z, t: cross_entropy(z, t, class_weights=[0.5, 2.0, 1.0, 4.0]),
+    "focal": lambda z, t: focal_loss(z, t, FocalParams(alpha=[0.1, 0.2, 0.3, 0.4], gamma=2.0)),
+    "focal_gamma_half": lambda z, t: focal_loss(z, t, FocalParams(alpha=0.25, gamma=0.5)),
+}
+
+
+class TestOneNode:
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_single_node_with_single_logits_edge(self, name, monkeypatch):
+        made = []
+        op = ad._op
+
+        def counting_op(data, edges):
+            made.append(op(data, edges))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_op", counting_op)
+        logits = Variable(Pcg32(6, 0).uniform_array((3, 4), -2, 2).astype(np.float32),
+                          requires_grad=True)
+        loss = LOSSES[name](logits, one_hot(np.array([0, 3, 1]), 4))
+        assert made == [loss]
+        assert len(loss._edges) == 1 and loss._edges[0][0] is logits
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_bit_identical_to_numpy_sequence(self, dtype):
+        # the op-by-op sequence the losses have always evaluated
+        rng = Pcg32(7, 0)
+        z = (rng.uniform_array((6, 4), -6, 6)).astype(dtype)
+        t = one_hot(np.array([0, 1, 2, 3, 1, 0]), 4).astype(np.float64)
+        w = np.array([0.5, 2.0, 1.0, 4.0])
+        lsm = numpy_log_softmax(z)
+        for mask, weights in ((t, None), (t * w, w)):
+            want = -(lsm * mask.astype(dtype)).sum(axis=1).mean()
+            got = cross_entropy(Variable(z), t, class_weights=weights).data
+            assert got.dtype == dtype and got.tobytes() == np.asarray(want).tobytes()
+        for alpha, gamma in ((0.25, 2.0), (1.0, 0.0), (0.25, 0.5)):
+            log_pt = (lsm * t.astype(dtype)).sum(axis=1)
+            focus = (np.ones(6, dtype=dtype) - np.exp(log_pt)) ** dtype(gamma)
+            want = -(np.full(6, alpha, dtype=dtype) * focus * log_pt).mean()
+            got = focal_loss(Variable(z), t, FocalParams(alpha=alpha, gamma=gamma)).data
+            assert got.dtype == dtype and got.tobytes() == np.asarray(want).tobytes()
 
 
 class TestCrossEntropy:
@@ -109,6 +160,14 @@ class TestFocalLoss:
         assert loss.item() <= 1e-12
         backward(loss)
         npt.assert_allclose(logits.grad, 0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_certain_sample_has_finite_zero_gradient(self, gamma):
+        # p_t rounds to exactly 1: the (1 - p_t)^(gamma - 1) term must not blow up
+        logits = Variable(np.array([[40.0, 0.0]], dtype=np.float32), requires_grad=True)
+        backward(focal_loss(logits, one_hot(np.array([0]), 2), FocalParams(gamma=gamma)))
+        assert np.all(np.isfinite(logits.grad))
+        npt.assert_array_equal(logits.grad, 0.0)
 
     def test_non_one_hot_target_rejected(self):
         logits = Variable(np.zeros((1, 3), dtype=np.float32))

@@ -83,6 +83,26 @@ class TestAdam:
         with pytest.raises(TrainingAborted, match="'p'"):
             Adam().step({"p": p}, lr=0.1)
 
+    def test_aborted_step_changes_nothing(self):
+        # a finite gradient listed before the bad one must not be applied
+        adam = Adam()
+        a = Variable(np.array([1.0], dtype=np.float32), requires_grad=True)
+        b = Variable(np.array([1.0], dtype=np.float32), requires_grad=True)
+        a._grad = np.array([1.0], dtype=np.float32)
+        b._grad = np.array([1.0], dtype=np.float32)
+        adam.step({"a": a, "b": b}, lr=0.1)
+        state = (a.data.copy(), adam.t, {k: v.copy() for k, v in adam.m.items()},
+                 {k: v.copy() for k, v in adam.v.items()})
+        b._grad = np.array([np.nan], dtype=np.float32)
+        with pytest.raises(TrainingAborted, match="'b'"):
+            adam.step({"a": a, "b": b}, lr=0.1)
+        npt.assert_array_equal(a.data, state[0])
+        assert adam.t == state[1]
+        for got, want in ((adam.m, state[2]), (adam.v, state[3])):
+            assert got.keys() == want.keys()
+            for k in want:
+                npt.assert_array_equal(got[k], want[k])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.floats(1e-5, 0.1))
     def test_first_step_bounded_by_lr(self, seed, lr):
