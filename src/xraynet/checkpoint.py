@@ -14,6 +14,7 @@ self-describing file. Model state round-trips bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -61,7 +62,11 @@ def _meta_tensors(model: Model, epoch: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(model: Model, path, epoch: int = 0, seed: int = 0) -> None:
-    """Write model parameters, batch-norm buffers, and metadata to `path`."""
+    """Write model parameters, batch-norm buffers, and metadata to `path`.
+
+    The file is replaced atomically: a write that fails part-way leaves the
+    previous file at `path` as it was.
+    """
     tensors = dict(model.store.state_tensors())
     tensors.update(_meta_tensors(model, epoch, seed))
     body = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(tensors))]
@@ -69,7 +74,19 @@ def save_checkpoint(model: Model, path, epoch: int = 0, seed: int = 0) -> None:
         body.append(_pack_tensor(name, np.asarray(arr)))
     blob = b"".join(body)
     blob += struct.pack("<I", zlib.crc32(blob))
-    Path(path).write_bytes(blob)
+    # write a sibling file, then rename it over `path`: a failed or interrupted
+    # write leaves any previous checkpoint intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -18,7 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .images import AugmentationConfig, GrayImage, augment, load_image, resize_bilinear, to_unit_float
+# augment, resize_bilinear and to_unit_float stay importable from here:
+# perfbench/tracing.py wraps the dataset module's names
+from .images import (AugmentationConfig, GrayImage, augment, load_image,  # noqa: F401
+                     resize_augmented, resize_bilinear, to_unit_float)
 from .rng import Pcg32, derive_stream
 
 SPLITS = ("Train", "Test")
@@ -289,17 +292,17 @@ def make_batch(records: Sequence[SampleRecord], indices: Sequence[int],
 
     Batch order equals index order. When augmenting, `augment_rngs` supplies
     one pre-derived stream per position so composition is identical for any
-    worker layout.
+    worker layout. Each sample comes from `images.resize_augmented`: flips,
+    rotation and the float conversion are evaluated only at the source pixels
+    the resize reads, never at source resolution, and the result is bit for
+    bit `resize_bilinear(to_unit_float(augment(img, ...)), size, size)`.
     """
     n = len(indices)
     x = np.empty((n, 1, size, size), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     for pos, idx in enumerate(indices):
         rec = records[idx]
-        img = images(rec.image_ref)
-        if augment_config is not None:
-            img = augment(img, augment_config, augment_rngs[pos])
-        arr = to_unit_float(img)
-        x[pos, 0] = resize_bilinear(arr, size, size)
+        rng = augment_rngs[pos] if augment_config is not None else None
+        x[pos, 0] = resize_augmented(images(rec.image_ref), size, augment_config, rng)
         labels[pos] = rec.label
     return x, labels

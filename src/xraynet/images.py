@@ -5,6 +5,12 @@ through an optional Pillow adapter behind the same `GrayImage` type. Flips
 are exact pixel permutations (they preserve the intensity histogram bit for
 bit); rotation resamples bilinearly around the image center with zero fill,
 and a rotation by 0 degrees is an exact identity.
+
+The resize to `size` reads at most 2*size rows and columns of its source,
+and flips, rotation and the unit-float conversion compute each pixel on its
+own, so `resize_augmented` (the training input path) evaluates them only at
+those resize taps, then blends: bit-identical to the full-resolution
+`resize_bilinear(to_unit_float(augment(img, ...)), size, size)`.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class AugmentationConfig:
 # ---------------------------------------------------------------------------
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Decode binary PGM (P5, maxval <= 255)."""
+    """Decode binary PGM (P5, maxval <= 255), rescaling samples to 0..255."""
     if not data.startswith(b"P5"):
         raise ValueError("not a binary PGM (P5) file")
     fields = []
@@ -99,7 +105,15 @@ def read_pgm(data: bytes) -> GrayImage:
     raster = data[pos:pos + n]
     if len(raster) != n:
         raise ValueError(f"PGM raster has {len(raster)} bytes, expected {n}")
-    return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy())
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval == 255:
+        return GrayImage(pixels.copy())
+    top = int(pixels.max())
+    if top > maxval:
+        raise ValueError(f"PGM sample {top} exceeds maxval {maxval}")
+    # v * 255 / maxval, rounded half up in integers
+    scaled = (pixels.astype(np.int32) * 510 + maxval) // (2 * maxval)
+    return GrayImage(scaled.astype(np.uint8))
 
 
 def write_pgm(img: GrayImage) -> bytes:
@@ -149,23 +163,27 @@ def vflip(img: GrayImage) -> GrayImage:
 def rotate(img: GrayImage, degrees: float) -> GrayImage:
     """Rotate about the image center, bilinear interpolation, zero fill."""
     h, w = img.pixels.shape
+    return GrayImage(_rotate_at(img.pixels, degrees, np.arange(h), np.arange(w)))
+
+
+def _rotate_at(pix: np.ndarray, degrees: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """uint8 pixels of `pix` rotated by `degrees`, at output rows x cols only."""
+    h, w = pix.shape
     theta = np.deg2rad(degrees)
     cos, sin = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
     # inverse mapping: output pixel samples the source rotated by -degrees
-    dx, dy = xs - cx, ys - cy
+    dx = cols.astype(np.float64)[None, :] - cx
+    dy = rows.astype(np.float64)[:, None] - cy
     sx = cx + cos * dx + sin * dy
     sy = cy - sin * dx + cos * dy
-    return GrayImage(_bilinear_zero_fill(img.pixels, sy, sx))
+    return _bilinear_zero_fill(pix, sy, sx)
 
 
 def _bilinear_zero_fill(pix: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     h, w = pix.shape
-    # 1-pixel zero border lets out-of-range neighbours contribute zero
-    padded = np.zeros((h + 2, w + 2), dtype=np.float64)
-    padded[1:-1, 1:-1] = pix
+    # coordinates of a 1-pixel zero border around pix: bordered index b is
+    # source index b - 1, and the shift fixes how fy and fx round
     sy = sy + 1.0
     sx = sx + 1.0
     y0 = np.floor(sy).astype(np.int64)
@@ -173,16 +191,30 @@ def _bilinear_zero_fill(pix: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.n
     fy = sy - y0
     fx = sx - x0
     inside = (y0 >= 0) & (y0 + 1 <= h + 1) & (x0 >= 0) & (x0 + 1 <= w + 1)
-    y0c = np.clip(y0, 0, h)
-    x0c = np.clip(x0, 0, w)
-    v00 = padded[y0c, x0c]
-    v01 = padded[y0c, x0c + 1]
-    v10 = padded[y0c + 1, x0c]
-    v11 = padded[y0c + 1, x0c + 1]
+    y0c = np.clip(y0, 0, h) - 1
+    x0c = np.clip(x0, 0, w) - 1
+
+    def tap(ys, xs):  # source pixels, zero outside the image
+        ok = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+        return np.where(ok, pix[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], 0)
+
+    v00 = tap(y0c, x0c)
+    v01 = tap(y0c, x0c + 1)
+    v10 = tap(y0c + 1, x0c)
+    v11 = tap(y0c + 1, x0c + 1)
     val = (v00 * (1 - fy) * (1 - fx) + v01 * (1 - fy) * fx
            + v10 * fy * (1 - fx) + v11 * fy * fx)
     val = np.where(inside, val, 0.0)
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
+
+
+def _draw_transforms(config: AugmentationConfig, rng: Pcg32) -> tuple[bool, bool, float | None]:
+    """(hflip, vflip, rotation angle or None), drawn as `augment` documents."""
+    u_h, u_v, u_r, u_angle = (rng.uniform() for _ in range(4))
+    angle = None
+    if u_r < config.p_rotate:
+        angle = -config.rotation_range + 2.0 * config.rotation_range * u_angle
+    return u_h < config.p_hflip, u_v < config.p_vflip, angle
 
 
 def augment(img: GrayImage, config: AugmentationConfig, rng: Pcg32) -> GrayImage:
@@ -191,13 +223,12 @@ def augment(img: GrayImage, config: AugmentationConfig, rng: Pcg32) -> GrayImage
     Exactly four uniforms are consumed per call regardless of outcomes, so
     the stream position never depends on which transforms fired.
     """
-    u_h, u_v, u_r, u_angle = (rng.uniform() for _ in range(4))
-    if u_h < config.p_hflip:
+    flip_h, flip_v, angle = _draw_transforms(config, rng)
+    if flip_h:
         img = hflip(img)
-    if u_v < config.p_vflip:
+    if flip_v:
         img = vflip(img)
-    if u_r < config.p_rotate:
-        angle = -config.rotation_range + 2.0 * config.rotation_range * u_angle
+    if angle is not None:
         img = rotate(img, angle)
     return img
 
@@ -216,20 +247,56 @@ def resize_bilinear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = arr.shape
     if (h, w) == (out_h, out_w):
         return arr
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0, h - 1)
-    xs = np.clip(xs, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+    return _blend(arr, _taps(h, out_h), _taps(w, out_w)).astype(arr.dtype, copy=False)
+
+
+def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resize's two source indices and the weight of the second, per output index."""
+    pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    pos = np.clip(pos, 0, n_in - 1)
+    i0 = np.floor(pos).astype(np.int64)
+    return i0, np.minimum(i0 + 1, n_in - 1), pos - i0
+
+
+def _blend(arr: np.ndarray, row_taps, col_taps) -> np.ndarray:
+    """float64 bilinear blend of `arr` at the given row and column taps."""
+    y0, y1, fy = row_taps
+    x0, x1, fx = col_taps
+    fy = fy[:, None]
+    fx = fx[None, :]
     v00 = arr[np.ix_(y0, x0)]
     v01 = arr[np.ix_(y0, x1)]
     v10 = arr[np.ix_(y1, x0)]
     v11 = arr[np.ix_(y1, x1)]
-    out = (v00 * (1 - fy) * (1 - fx) + v01 * (1 - fy) * fx
-           + v10 * fy * (1 - fx) + v11 * fy * fx)
-    return out.astype(arr.dtype, copy=False)
+    return (v00 * (1 - fy) * (1 - fx) + v01 * (1 - fy) * fx
+            + v10 * fy * (1 - fx) + v11 * fy * fx)
+
+
+def _tap_grid(n_in: int, n_out: int):
+    """The distinct source indices the resize reads along one axis, and its
+    taps re-indexed into that list."""
+    i0, i1, frac = _taps(n_in, n_out)
+    grid, where = np.unique(np.concatenate([i0, i1]), return_inverse=True)
+    return grid, (where[:n_out], where[n_out:], frac)
+
+
+def resize_augmented(img: GrayImage, size: int, config: AugmentationConfig | None,
+                     rng: Pcg32 | None) -> np.ndarray:
+    """(size, size) float32 in [0, 1]: bit for bit
+    `resize_bilinear(to_unit_float(augment(img, config, rng)), size, size)`,
+    or the same without `augment` when `config` is None.
+
+    Flips, rotation and the unit-float conversion are evaluated only at the
+    source pixels the resize reads, then blended; flips are views of the
+    source, so nothing the size of the source is allocated.
+    """
+    flip_h, flip_v, angle = (False, False, None) if config is None else _draw_transforms(config, rng)
+    pix = img.pixels[::-1 if flip_v else 1, ::-1 if flip_h else 1]
+    h, w = pix.shape
+    if (h, w) == (size, size):  # the resize is the identity, as in resize_bilinear
+        grid = pix if angle is None else _rotate_at(pix, angle, np.arange(h), np.arange(w))
+        return to_unit_float(GrayImage(grid))
+    rows, row_taps = _tap_grid(h, size)
+    cols, col_taps = _tap_grid(w, size)
+    grid = pix[np.ix_(rows, cols)] if angle is None else _rotate_at(pix, angle, rows, cols)
+    return _blend(to_unit_float(GrayImage(grid)), row_taps, col_taps).astype(np.float32)

@@ -152,3 +152,34 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model):
         load_checkpoint(resnet_model, path)
     for name, arr in resnet_model.store.state_tensors().items():
         npt.assert_array_equal(arr, before[name])
+
+
+def test_failed_write_keeps_previous_file(tmp_path, resnet_model, monkeypatch):
+    import xraynet.checkpoint as ckpt_module
+
+    path = tmp_path / "model.xrnc"
+    save_checkpoint(resnet_model, path, epoch=1)
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Writes half of what it is given, then fails as a full disk would."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ckpt_module, "open", lambda p, mode: FailingFile(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(resnet_model, path, epoch=2)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xraynet.dataset import (ClassLabel, SampleRecord, binary_filter,
                              class_distribution, compute_class_weights, default_mapping,
                              make_batch, one_hot, parse_manifest, sample_weights,
                              stratified_val_split, weighted_sample)
+from xraynet.images import AugmentationConfig, GrayImage, augment, resize_bilinear, to_unit_float
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import make_synthetic_dataset, manifest_csv
 
@@ -209,6 +214,16 @@ class TestValSplit:
         assert val == [] and len(train) == 12
 
 
+class ScriptedStream:
+    """Stands in for a Pcg32 stream: returns the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def uniform(self):
+        return self.uniforms.pop(0)
+
+
 class TestMakeBatch:
     def test_order_and_scaling(self):
         records, images = make_synthetic_dataset(2, size=16, seed=4)
@@ -223,6 +238,62 @@ class TestMakeBatch:
         records, images = make_synthetic_dataset(1, size=32, seed=5)
         x, _ = make_batch(records, [0], images.__getitem__, 16)
         assert x.shape == (1, 1, 16, 16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 90), w=st.integers(1, 90), size=st.integers(1, 120),
+           seed=st.integers(0, 2**16))
+    @example(h=64, w=64, size=64, seed=1)   # identity resize
+    @example(h=64, w=64, size=1, seed=2)
+    @example(h=90, w=90, size=16, seed=3)   # downscale
+    @example(h=7, w=5, size=32, seed=4)     # upscale
+    @example(h=37, w=90, size=20, seed=5)   # non-square
+    @example(h=90, w=64, size=64, seed=6)   # one axis identity
+    def test_bit_identical_to_full_resolution_composition(self, h, w, size, seed):
+        pixels = np.floor(Pcg32(seed, 3).uniform_array((h, w), 0, 256)).astype(np.uint8)
+        img = GrayImage(pixels)
+        # (rotation_range, angle uniform): angles 0 (twice), 15, -15, 45 and 180
+        rotations = [None, (0.0, 0.3), (15.0, 0.5), (15.0, 1.0), (15.0, 0.0), (45.0, 1.0),
+                     (180.0, 1.0)]
+        for flip_h in (False, True):
+            for flip_v in (False, True):
+                for rotation in rotations:
+                    cfg = AugmentationConfig(0.5, 0.5, 0.5, 15.0 if rotation is None else rotation[0])
+                    uniforms = [0.25 if flip_h else 0.75, 0.25 if flip_v else 0.75,
+                                0.75 if rotation is None else 0.25,
+                                0.5 if rotation is None else rotation[1]]
+                    expect = resize_bilinear(
+                        to_unit_float(augment(img, cfg, ScriptedStream(uniforms))), size, size)
+                    x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img, size,
+                                      cfg, [ScriptedStream(uniforms)])
+                    assert x[0, 0].tobytes() == expect.tobytes(), (flip_h, flip_v, rotation)
+
+    def test_seeded_batch_bit_identical_to_composition(self):
+        records, images = make_synthetic_dataset(2, size=48, seed=9)
+        cfg = AugmentationConfig(p_rotate=0.7)
+        for size in (48, 20, 64):
+            x, _ = make_batch(records, range(len(records)), images.__getitem__, size, cfg,
+                              [derive_stream(4, "augment", k) for k in range(len(records))])
+            for k, rec in enumerate(records):
+                aug = augment(images[rec.image_ref], cfg, derive_stream(4, "augment", k))
+                expect = resize_bilinear(to_unit_float(aug), size, size)
+                assert x[k, 0].tobytes() == expect.tobytes()
+
+    def test_allocates_nothing_at_source_resolution(self):
+        # a 2048 px source is 4 MiB of uint8; flipping or rotating it at full
+        # resolution would allocate a multiple of that
+        side = 2048
+        img = GrayImage((np.arange(side * side, dtype=np.int64).reshape(side, side) % 251)
+                        .astype(np.uint8))
+        cfg = AugmentationConfig(p_hflip=1.0, p_vflip=1.0, p_rotate=1.0)
+        tracemalloc.start()
+        try:
+            x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img, 64, cfg,
+                              [derive_stream(0, "augment", 0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < img.pixels.nbytes, f"peak {peak / 2**20:.1f} MiB"
+        assert x.shape == (1, 1, 64, 64) and 0.0 < x.max() <= 1.0
 
     def test_one_hot(self):
         t = one_hot(np.array([0, 2]), 3)

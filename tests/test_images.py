@@ -27,6 +27,23 @@ class TestPgm:
         assert (img.width, img.height) == (2, 3)
         npt.assert_array_equal(img.pixels, np.arange(6, dtype=np.uint8).reshape(3, 2))
 
+    def test_low_maxval_rescales_to_full_range(self):
+        img = read_pgm(b"P5 4 1 15\n" + bytes([0, 1, 8, 15]))
+        # v * 255 / 15, rounded: 1 -> 17, 8 -> 136
+        npt.assert_array_equal(img.pixels, [[0, 17, 136, 255]])
+        assert to_unit_float(img)[0, 3] == 1.0
+        img = read_pgm(b"P5 2 1 2\n" + bytes([1, 2]))
+        npt.assert_array_equal(img.pixels, [[128, 255]])  # 127.5 rounds half up
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(ValueError, match="exceeds maxval"):
+            read_pgm(b"P5 2 1 100\n" + bytes([100, 200]))
+
+    def test_maxval_255_decodes_raster_unchanged(self):
+        raster = bytes(range(256))
+        img = read_pgm(b"P5 16 16 255\n" + raster)
+        assert img.pixels.tobytes() == raster
+
     def test_round_trip(self):
         img = random_image(1)
         again = read_pgm(write_pgm(img))
@@ -117,6 +134,38 @@ class TestFlipsAndRotation:
         img = GrayImage(np.full((9, 9), 250, dtype=np.uint8))
         rot = rotate(img, 45.0)
         assert rot.pixels[0, 0] == 0 and rot.pixels[-1, -1] == 0
+
+
+    @pytest.mark.parametrize("shape", [(17, 17), (31, 12), (1, 9), (40, 41)])
+    @pytest.mark.parametrize("degrees", [0.0, 15.0, -15.0, 45.0, 180.0, 7.3])
+    def test_rotation_matches_padded_reference(self, shape, degrees):
+        img = random_image(10, *shape)
+        npt.assert_array_equal(rotate(img, degrees).pixels,
+                               padded_rotation_reference(img.pixels, degrees))
+
+
+def padded_rotation_reference(pix, degrees):
+    """Rotation as a full-resolution float64 copy of `pix` with a 1-pixel zero
+    border, sampled bilinearly at every output pixel's inverse-rotated position."""
+    h, w = pix.shape
+    theta = np.deg2rad(degrees)
+    cos, sin = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
+                         indexing="ij")
+    dx, dy = xs - cx, ys - cy
+    sy = cy - sin * dx + cos * dy + 1.0
+    sx = cx + cos * dx + sin * dy + 1.0
+    padded = np.zeros((h + 2, w + 2), dtype=np.float64)
+    padded[1:-1, 1:-1] = pix
+    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx).astype(np.int64)
+    fy, fx = sy - y0, sx - x0
+    inside = (y0 >= 0) & (y0 <= h) & (x0 >= 0) & (x0 <= w)
+    y0, x0 = np.clip(y0, 0, h), np.clip(x0, 0, w)
+    val = (padded[y0, x0] * (1 - fy) * (1 - fx) + padded[y0, x0 + 1] * (1 - fy) * fx
+           + padded[y0 + 1, x0] * fy * (1 - fx) + padded[y0 + 1, x0 + 1] * fy * fx)
+    return np.clip(np.rint(np.where(inside, val, 0.0)), 0, 255).astype(np.uint8)
 
 
 class TestAugment:
