@@ -2,7 +2,7 @@
 
 from .autodiff import (Variable, add, avg_pool2d, backward, batch_norm, concat_channels,
                        constant, conv2d, global_avg_pool, grad_check, grad_check_directional,
-                       linear, log_softmax, max_pool2d, relu, softmax)
+                       linear, max_pool2d, relu)
 from .checkpoint import (CheckpointError, load_checkpoint, model_from_checkpoint,
                          read_checkpoint, save_checkpoint)
 from .dataset import (ClassLabel, DataBundle, ManifestConfig, SampleRecord, binary_filter,

@@ -10,10 +10,10 @@ so calling it twice without zeroing doubles the gradients.
 
 The op set is exactly what small residual/dense image classifiers require:
 conv2d, batch norm (one fused node with a closed-form backward), relu,
-pooling, linear, add, channel concat, and a fused log-softmax; each loss
-in `losses.py` is one `_op` node over the shared `_log_softmax`. No op
-broadcasts: `add` and the probe-only `bmul` require equal shapes, and the
-probe-only `sum_axes` sums everything.
+pooling, linear, add and channel concat. Each loss in `losses.py` is one
+`_op` node over the plain-array `_log_softmax`. No op broadcasts: `add` and
+the probe-only `bmul` require equal shapes, and the probe-only `sum_axes`
+sums everything.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ import numpy as np
 Edge = tuple["Variable", Callable[[np.ndarray], np.ndarray]]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+BN_EPS = 1e-5       # added to the variance before the inverse square root
+BN_MOMENTUM = 0.1   # weight of each batch's statistics in the running buffers
 
 
 class Variable:
@@ -91,11 +94,6 @@ def bmul(a: Variable, b: Variable) -> Variable:
         raise ValueError(f"bmul: shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
     return _op(ad * bd, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
-
-
-def exp(x: Variable) -> Variable:
-    out = np.exp(x.data)
-    return _op(out, [(x, lambda g: g * out)])
 
 
 def sum_axes(x: Variable) -> Variable:
@@ -306,15 +304,14 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
 
 def batch_norm(x: Variable, gamma: Variable, beta: Variable,
                running_mean: np.ndarray, running_var: np.ndarray,
-               train: bool, eps: float = 1e-5, momentum: float = 0.1,
-               update_running: bool = True) -> Variable:
+               train: bool, update_running: bool = True) -> Variable:
     """Per-channel batch normalization on NCHW input.
 
     Train mode normalizes by batch statistics (and, when `update_running`,
     folds the unbiased batch variance into the running buffers in place);
     eval mode normalizes by the running buffers. One graph node with edges
     to the input, gamma and beta. The input VJP is the closed form of Ioffe
-    & Szegedy (2015): with x^ the normalized input and inv = 1/sqrt(var+eps),
+    & Szegedy (2015): with x^ the normalized input and inv = 1/sqrt(var+BN_EPS),
     dx = gamma*inv * (g - mean(g) - x^*mean(g*x^)) in train mode, where the
     batch statistics depend on x, and dx = gamma*inv * g in eval mode.
     """
@@ -333,17 +330,17 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
         mu = xd.mean(axis=axes, keepdims=True)
         xc = xd - mu
         var = (xc * xc).mean(axis=axes, keepdims=True)
-        inv = (var + xd.dtype.type(eps)) ** xd.dtype.type(-0.5)
+        inv = (var + xd.dtype.type(BN_EPS)) ** xd.dtype.type(-0.5)
         xhat = xc * inv
         if update_running:
             bm = mu.reshape(c)
             bv = var.reshape(c) * (m / (m - 1.0))  # unbiased for the running buffer
-            running_mean *= (1.0 - momentum)
-            running_mean += momentum * bm
-            running_var *= (1.0 - momentum)
-            running_var += momentum * bv
+            running_mean *= (1.0 - BN_MOMENTUM)
+            running_mean += BN_MOMENTUM * bm
+            running_var *= (1.0 - BN_MOMENTUM)
+            running_var += BN_MOMENTUM * bv
     else:
-        inv = (1.0 / np.sqrt(running_var + eps)).reshape(1, c, 1, 1).astype(xd.dtype)
+        inv = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(1, c, 1, 1).astype(xd.dtype)
         shift = running_mean.reshape(1, c, 1, 1).astype(xd.dtype)
         xhat = (xd - shift) * inv
     gd = gamma.data.reshape(1, c, 1, 1)
@@ -363,24 +360,10 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
     ])
 
 
-def _log_softmax(xd: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Max-shifted log(softmax(xd)) on plain arrays; the losses share it."""
-    s = xd - xd.max(axis=axis, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
-
-
-def log_softmax(x: Variable, axis: int = 1) -> Variable:
-    """Numerically stable fused log(softmax(x)) along `axis`."""
-    out = _log_softmax(x.data, axis)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
-
-    return _op(out, [(x, vjp)])
-
-
-def softmax(x: Variable, axis: int = 1) -> Variable:
-    return exp(log_softmax(x, axis=axis))
+def _log_softmax(xd: np.ndarray) -> np.ndarray:
+    """Max-shifted log(softmax(xd)) over the class axis 1 of plain arrays; the losses share it."""
+    s = xd - xd.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

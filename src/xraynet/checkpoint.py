@@ -53,7 +53,8 @@ def _meta_tensors(model: Model, epoch: int, seed: int) -> dict[str, np.ndarray]:
     cfg = model.config
     digest = cfg.backbone_digest()
     return {
-        "meta.arch": np.array([_FAMILY_CODES[cfg.family], cfg.input_channels,
+        # the 1 is the input channel count, which every Mini backbone fixes
+        "meta.arch": np.array([_FAMILY_CODES[cfg.family], 1,
                                cfg.input_size, model.num_classes], dtype=np.float32),
         "meta.digest": np.array([(digest >> (8 * i)) & 0xFF for i in range(4)], dtype=np.float32),
         "meta.epoch": np.array([epoch], dtype=np.float32),
@@ -189,8 +190,7 @@ def model_from_checkpoint(path, dtype=np.float32) -> tuple[Model, dict]:
     if not arch or arch["family"] not in ("resnet", "densenet"):
         raise CheckpointError(f"{path}: checkpoint carries no usable architecture metadata")
     builder = mini_resnet if arch["family"] == "resnet" else mini_densenet
-    config = builder(num_classes=arch["num_classes"], input_size=arch["input_size"],
-                     input_channels=arch["input_channels"])
+    config = builder(num_classes=arch["num_classes"], input_size=arch["input_size"])
     model = Model(config, Pcg32(0, 0), dtype=dtype)
     load_checkpoint(model, path)
     return model, meta

@@ -59,7 +59,7 @@ def _load_mapping(path: str | None) -> ManifestConfig:
     return ManifestConfig.from_json(p)
 
 
-def _build_bundle(args, num_classes_hint: int | None = None):
+def _build_bundle(args):
     binary = _parse_binary(args.binary) if getattr(args, "binary", None) else None
     if getattr(args, "synthetic", None):
         counts = args.synthetic

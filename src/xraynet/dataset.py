@@ -25,6 +25,7 @@ from .images import (AugmentationConfig, GrayImage, augment, load_image,  # noqa
 from .rng import Pcg32, derive_stream
 
 SPLITS = ("Train", "Test")
+VAL_FRACTION = 0.1  # share of each class's Train records held out for validation
 
 
 class ClassLabel(IntEnum):
@@ -240,11 +241,12 @@ class DataBundle:
 
 
 def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = None,
-                  input_size: int = 64, seed: int = 0, val_fraction: float = 0.1,
+                  input_size: int = 64, seed: int = 0,
                   binary: tuple[int, int] | None = None,
                   extra_manifest=None, extra_images_root=None) -> DataBundle:
     """Bundle a manifest (plus an optional supplementary manifest, e.g. extra
-    minority-class samples) into train/val/test splits.
+    minority-class samples) into train/val/test splits, holding out
+    `VAL_FRACTION` of each class's Train records for validation.
 
     Supplementary records keep their own split tags; their image references
     resolve against `extra_images_root` when given, falling back to the main
@@ -265,7 +267,7 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
         num_classes = 2
     train_pool = [r for r in records if r.split == "Train"]
     test = [r for r in records if r.split == "Test"]
-    train, val = stratified_val_split(train_pool, val_fraction, derive_stream(seed, "valsplit"))
+    train, val = stratified_val_split(train_pool, VAL_FRACTION, derive_stream(seed, "valsplit"))
 
     def load(ref: str) -> GrayImage:
         main = root / ref

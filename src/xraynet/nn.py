@@ -1,5 +1,9 @@
 """Residual/dense building blocks, backbone builders, and transfer mechanics.
 
+The two Mini backbones have fixed topologies (the module constants below), as
+the paper's ResNet50 and DenseNet-121 do; an `ArchitectureConfig` picks only
+the family, the input size and the class count.
+
 Models register every trainable tensor in a `ParameterStore` under a
 hierarchical name (e.g. ``stage1.block0.conv1.kernel``); batch-norm running
 statistics live in the store as non-trainable buffers. The classifier head
@@ -21,66 +25,47 @@ from .rng import Pcg32
 HEAD_PREFIX = "head."
 
 
+# the fixed Mini topologies (single-channel input): resnet stages of
+# (residual blocks, channels), each entered at stride 2 through a
+# 1x1-projection block; densenet blocks of `GROWTH`-wide conv layers with
+# channel-halving transitions (1x1 conv + 2x2 average pool) between blocks
+STEM_CHANNELS = 16
+RESNET_STAGES = ((2, 16), (2, 32), (2, 64))
+DENSE_LAYERS = (4, 4, 4)
+GROWTH = 8
+
+
 @dataclass(frozen=True)
 class ArchitectureConfig:
-    """Backbone description for the two supported families.
-
-    resnet: `stage_blocks[i]` residual blocks at `stage_channels[i]`, each
-    stage entered at stride 2 through a 1x1-projection block.
-    densenet: `dense_layers[i]` conv layers of width `growth` per dense
-    block, with channel-halving transitions (1x1 conv + 2x2 average pool)
-    between blocks.
-    """
+    """Which Mini backbone to build, at what input size, with how many classes."""
 
     family: str
-    stem_channels: int = 16
-    input_channels: int = 1
     input_size: int = 64
     num_classes: int = 4
-    stage_blocks: tuple[int, ...] = (2, 2, 2)
-    stage_channels: tuple[int, ...] = (16, 32, 64)
-    dense_layers: tuple[int, ...] = (4, 4, 4)
-    growth: int = 8
 
     def __post_init__(self):
         if self.family not in ("resnet", "densenet"):
             raise ValueError(f"unknown architecture family {self.family!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if self.stem_channels < 1 or self.input_channels < 1:
-            raise ValueError("channel counts must be positive")
-        if self.family == "resnet":
-            if len(self.stage_blocks) != len(self.stage_channels):
-                raise ValueError("stage_blocks and stage_channels must align")
-            if any(c < 1 for c in self.stage_channels) or any(b < 1 for b in self.stage_blocks):
-                raise ValueError("stage specs must be positive")
-        else:
-            if self.growth < 1 or any(l < 1 for l in self.dense_layers):
-                raise ValueError("dense block specs must be positive")
 
     def backbone_digest(self) -> int:
         """CRC32 of the backbone topology (head size excluded so that
         checkpoints transfer across class counts)."""
         import zlib
         if self.family == "resnet":
-            desc = (f"resnet/stem={self.stem_channels}/in={self.input_channels}"
-                    f"/blocks={self.stage_blocks}/channels={self.stage_channels}")
+            desc = "resnet/stem=16/in=1/blocks=(2, 2, 2)/channels=(16, 32, 64)"
         else:
-            desc = (f"densenet/stem={self.stem_channels}/in={self.input_channels}"
-                    f"/layers={self.dense_layers}/growth={self.growth}")
+            desc = "densenet/stem=16/in=1/layers=(4, 4, 4)/growth=8"
         return zlib.crc32(desc.encode("utf-8"))
 
 
-def mini_resnet(num_classes: int = 4, input_size: int = 64, input_channels: int = 1) -> ArchitectureConfig:
-    return ArchitectureConfig(family="resnet", stem_channels=16, input_channels=input_channels,
-                              input_size=input_size, num_classes=num_classes,
-                              stage_blocks=(2, 2, 2), stage_channels=(16, 32, 64))
+def mini_resnet(num_classes: int = 4, input_size: int = 64) -> ArchitectureConfig:
+    return ArchitectureConfig(family="resnet", input_size=input_size, num_classes=num_classes)
 
 
-def mini_densenet(num_classes: int = 4, input_size: int = 64, input_channels: int = 1) -> ArchitectureConfig:
-    return ArchitectureConfig(family="densenet", stem_channels=16, input_channels=input_channels,
-                              input_size=input_size, num_classes=num_classes,
-                              dense_layers=(4, 4, 4), growth=8)
+def mini_densenet(num_classes: int = 4, input_size: int = 64) -> ArchitectureConfig:
+    return ArchitectureConfig(family="densenet", input_size=input_size, num_classes=num_classes)
 
 
 class ParameterStore:
@@ -110,9 +95,6 @@ class ParameterStore:
     def zero_grads(self) -> None:
         for v in self.params.values():
             v.zero_grad()
-
-    def frozen_names(self) -> set[str]:
-        return {n for n, v in self.params.items() if not v.requires_grad}
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Parameters then buffers, in registration order."""
@@ -245,17 +227,16 @@ class Model:
 
         # resnet stem: conv-bn-relu; densenet stem: bare conv, since the first
         # dense layer pre-activates (a stem bn's gamma would be scale-dead)
-        self.stem_conv = Conv2d(self.store, "stem.conv", config.input_channels,
-                                config.stem_channels, 3, 1, 1, rng, self.dtype)
+        self.stem_conv = Conv2d(self.store, "stem.conv", 1, STEM_CHANNELS, 3, 1, 1, rng, self.dtype)
         if config.family == "resnet":
-            self.stem_bn = BatchNorm2d(self.store, "stem.bn", config.stem_channels, self.dtype)
+            self.stem_bn = BatchNorm2d(self.store, "stem.bn", STEM_CHANNELS, self.dtype)
         else:
             self.stem_bn = None
 
         if config.family == "resnet":
             self.stages: list[list[ResidualBlock]] = []
-            cin = config.stem_channels
-            for si, (nblocks, cout) in enumerate(zip(config.stage_blocks, config.stage_channels)):
+            cin = STEM_CHANNELS
+            for si, (nblocks, cout) in enumerate(RESNET_STAGES):
                 size = (size - 1) // 2 + 1  # stride-2 stage entry, 3x3 pad 1
                 if size < 1:
                     raise ValueError(f"feature map collapses below 1x1 entering stage{si + 1}")
@@ -269,12 +250,12 @@ class Model:
         else:
             self.blocks: list[DenseBlock] = []
             self.transitions: list[Transition] = []
-            c = config.stem_channels
-            for bi, nlayers in enumerate(config.dense_layers):
-                block = DenseBlock(self.store, f"dense{bi + 1}", c, nlayers, config.growth, rng, self.dtype)
+            c = STEM_CHANNELS
+            for bi, nlayers in enumerate(DENSE_LAYERS):
+                block = DenseBlock(self.store, f"dense{bi + 1}", c, nlayers, GROWTH, rng, self.dtype)
                 self.blocks.append(block)
                 c = block.out_channels
-                if bi < len(config.dense_layers) - 1:
+                if bi < len(DENSE_LAYERS) - 1:
                     tr = Transition(self.store, f"transition{bi + 1}", c, rng, self.dtype)
                     self.transitions.append(tr)
                     c = tr.out_channels

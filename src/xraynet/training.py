@@ -2,7 +2,9 @@
 
 A preset code fully determines {architecture family, checkpoint usage,
 loss, sampler}; everything else (epochs, learning rate, batch size, seed,
-focal parameters) lives in `TrainConfig`. Runs are deterministic given the
+focal parameters) lives in `TrainConfig`. One recipe serves every preset:
+the learning rate is multiplied by `LR_FACTOR` every `LR_STEP` epochs, and
+Adam keeps its published defaults. Runs are deterministic given the
 resolved config: the sampler, augmentation, and initialization all draw
 from purpose-tagged streams of the run seed.
 """
@@ -27,6 +29,8 @@ from .nn import Model, build_model, mini_densenet, mini_resnet
 from .rng import derive_stream
 
 _AUG_EPOCH_STRIDE = 1_000_003  # distinct augmentation stream per (epoch, position)
+LR_STEP = 10
+LR_FACTOR = 0.5
 
 
 class TrainingAborted(RuntimeError):
@@ -73,8 +77,6 @@ class TrainConfig:
     num_classes: int = 4
     epochs: int = 20
     base_lr: float = 1e-3
-    lr_step: int = 10
-    lr_factor: float = 0.5
     batch_size: int = 16
     seed: int = 0
     input_size: int = 64
@@ -89,12 +91,13 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
-        if self.lr_step < 1 or not 0 < self.lr_factor <= 1:
-            raise ValueError("invalid learning-rate schedule")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
+        # the streams and the checkpoint's seed limbs both keep the seed mod 2**64
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def spec(self) -> Preset:
@@ -113,17 +116,21 @@ class TrainConfig:
 
 
 def lr_at_epoch(epoch: int, config: TrainConfig) -> float:
-    """base_lr * factor ** floor(epoch / step), epochs counted from 0."""
+    """base_lr * LR_FACTOR ** floor(epoch / LR_STEP), epochs counted from 0."""
     if epoch < 0:
         raise ValueError("epoch index must be non-negative")
-    return config.base_lr * config.lr_factor ** (epoch // config.lr_step)
+    return config.base_lr * LR_FACTOR ** (epoch // LR_STEP)
 
 
 class Adam:
-    """Adam with bias correction; state kept in float64 for exact unit tests."""
+    """Adam with bias correction and the defaults of Kingma & Ba (2015); state
+    kept in float64 for exact unit tests."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -135,8 +142,8 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingAborted(f"non-finite gradient in {name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in live.items():
             g = p.grad.astype(np.float64)
             m = self.m.get(name)
@@ -145,11 +152,11 @@ class Adam:
             v = self.v.get(name)
             if v is None:
                 v = self.v[name] = np.zeros(p.data.shape, dtype=np.float64)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= update.astype(p.data.dtype)
 
 

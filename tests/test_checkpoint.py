@@ -103,6 +103,19 @@ def test_family_mismatch_rejected_via_digest(tmp_path, resnet_model):
         load_checkpoint(dense, path)
 
 
+def test_files_of_earlier_versions_stay_loadable(tmp_path, resnet_model):
+    # the digests and the 1-channel arch entry that earlier versions wrote:
+    # a change to either rejects every checkpoint saved before it
+    assert mini_resnet().backbone_digest() == 2485430723
+    assert mini_densenet().backbone_digest() == 2258372125
+    assert mini_resnet(num_classes=2, input_size=32).backbone_digest() == 2485430723
+    path = tmp_path / "model.xrnc"
+    save_checkpoint(resnet_model, path)
+    _, meta = read_checkpoint(path)
+    assert meta["arch"]["input_channels"] == 1
+    assert meta["digest"] == 2485430723
+
+
 def test_model_from_checkpoint_rebuilds(tmp_path):
     model = build_model(mini_densenet(num_classes=3, input_size=16), derive_stream(4, "init"))
     path = tmp_path / "d.xrnc"

@@ -60,6 +60,13 @@ class TestTrain:
         assert run("train", "--preset", "PDCXCE", "--synthetic", "2",
                    "--out", str(tmp_path / "r")) == 2
 
+    def test_seed_outside_64_bits_exit2(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",
+                   "--seed", "-1", "--out", str(out)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
     def test_no_data_source_exit2(self, tmp_path):
         assert run("train", "--preset", "RCE", "--out", str(tmp_path / "r")) == 2
 

@@ -316,12 +316,13 @@ def test_extra_manifest_appends_records(tmp_path):
     extra_manifest, _ = write_synthetic_dataset(tmp_path / "extra", (0, 0, 0, 4), size=16,
                                                 seed=2, prefix="extra")
 
-    base = from_manifest(main_manifest, tmp_path / "main", input_size=16, val_fraction=0.0)
-    merged = from_manifest(main_manifest, tmp_path / "main", input_size=16, val_fraction=0.0,
+    base = from_manifest(main_manifest, tmp_path / "main", input_size=16)
+    merged = from_manifest(main_manifest, tmp_path / "main", input_size=16,
                            extra_manifest=extra_manifest,
                            extra_images_root=tmp_path / "extra")
-    npt.assert_array_equal(base.train_class_counts(), [5, 5, 5, 1])
-    npt.assert_array_equal(merged.train_class_counts(), [5, 5, 5, 5])
+    npt.assert_array_equal(class_distribution(base.train + base.val)[:, 0], [5, 5, 5, 1])
+    npt.assert_array_equal(class_distribution(merged.train + merged.val)[:, 0], [5, 5, 5, 5])
     # images from both roots resolve through the merged source
-    x, labels = make_batch(merged.train, range(len(merged.train)), merged.images, 16)
+    pool = merged.train + merged.val
+    x, labels = make_batch(pool, range(len(pool)), merged.images, 16)
     assert x.shape[0] == 20 and np.bincount(labels, minlength=4).tolist() == [5, 5, 5, 5]

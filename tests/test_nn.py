@@ -54,8 +54,6 @@ class TestBuild:
             ArchitectureConfig(family="vgg")
         with pytest.raises(ValueError):
             ArchitectureConfig(family="resnet", num_classes=1)
-        with pytest.raises(ValueError):
-            ArchitectureConfig(family="resnet", stage_blocks=(2, 2), stage_channels=(16,))
 
     def test_parameters_registered_once_and_buffers_present(self):
         model = build_model(mini_resnet(), derive_stream(4, "init"))

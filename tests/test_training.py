@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xraynet.autodiff import Variable
-from xraynet.checkpoint import save_checkpoint
+from xraynet.checkpoint import read_checkpoint, save_checkpoint
 from xraynet.dataset import DataBundle, SampleRecord
 from xraynet.nn import build_model, mini_resnet
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
 from xraynet.training import (Adam, EpochMetrics, PRESETS, RunRecord, TrainConfig,
                               TrainingAborted, canonical_preset, evaluate, export_metrics, fit,
-                              lr_at_epoch, make_loss, parse_metrics_csv, train_epoch,
-                              _epoch_indices)
+                              LR_FACTOR, LR_STEP, lr_at_epoch, make_loss, parse_metrics_csv,
+                              train_epoch, _epoch_indices)
 
 
 def cfg(preset="RCE", **kw):
@@ -40,10 +40,10 @@ class TestSchedule:
         assert lr_at_epoch(25, cfg()) == 0.001 * 0.5 ** 2 == 0.00025
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 500), st.integers(1, 40))
-    def test_closed_form_everywhere(self, epoch, step):
-        c = cfg(lr_step=step)
-        assert lr_at_epoch(epoch, c) == c.base_lr * c.lr_factor ** (epoch // step)
+    @given(st.integers(0, 500), st.floats(1e-6, 1.0))
+    def test_closed_form_everywhere(self, epoch, base_lr):
+        c = cfg(base_lr=base_lr)
+        assert lr_at_epoch(epoch, c) == base_lr * LR_FACTOR ** (epoch // LR_STEP)
         if epoch > 0:
             assert lr_at_epoch(epoch, c) <= lr_at_epoch(epoch - 1, c)
 
@@ -152,6 +152,20 @@ class TestPresets:
             TrainConfig(preset="RCE", base_lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(preset="RCE", num_classes=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the streams and the checkpoint both keep a seed mod 2**64, so these
+        # would run as, and be recorded as, a different seed
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(preset="RCE", seed=seed)
+
+    def test_largest_seed_accepted_and_recorded_exactly(self, tmp_path):
+        config = TrainConfig(preset="RCE", seed=2 ** 64 - 1)
+        path = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=16), derive_stream(0, "init")),
+                        path, seed=config.seed)
+        assert read_checkpoint(path)[1]["seed"] == 2 ** 64 - 1
 
 
 class TestEpochLoop:
