@@ -250,6 +250,16 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     x: (N, Cin, H, W), kernel: (Cout, Cin, kH, kW), bias: (Cout,).
     Output spatial dims follow the floor convention
     H' = (H + 2*padding - kH) // stride + 1 and must be >= 1.
+
+    Forward and gradients are batched GEMMs over the unrolled input
+    (Chellapilla et al. 2006): with `cols` = im2col(x) of shape
+    (N, Cin*kH*kW, H'*W'), out = K2 @ cols and dK = sum_n g_n @ cols_nᵀ,
+    where BLAS reads the transposed view of `cols` without copying it.
+    With stride 1 and padding < min(kH, kW), dx is the full correlation of
+    g with the flipped kernel, channels transposed: an im2col of g padded by
+    (kH-1-padding, kW-1-padding), which has only Cout channels, times
+    flip(K)ᵀ. Other convs map K2ᵀ @ g back to the input with a col2im
+    scatter. db sums g over batch and space.
     """
     xd, kd, bd = x.data, kernel.data, bias.data
     if xd.ndim != 4 or kd.ndim != 4:
@@ -281,6 +291,12 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
 
     hp, wp = xp.shape[2], xp.shape[3]
 
+    def vjp_x_full(g: np.ndarray) -> np.ndarray:
+        qh, qw = kh - 1 - padding, kw - 1 - padding
+        gp = np.pad(g, ((0, 0), (0, 0), (qh, qh), (qw, qw)))
+        kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        return np.matmul(kt, _im2col(gp, kh, kw, 1, h, w)).reshape(n, cin, h, w)
+
     def vjp_x(g: np.ndarray) -> np.ndarray:
         g2 = g.reshape(n, cout, oh * ow)
         gcols = np.matmul(k2.T, g2).reshape(n, cin, kh, kw, oh, ow)
@@ -294,12 +310,13 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
 
     def vjp_k(g: np.ndarray) -> np.ndarray:
         g2 = g.reshape(n, cout, oh * ow)
-        return np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(kd.shape)
+        return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
 
     def vjp_b(g: np.ndarray) -> np.ndarray:
         return g.sum(axis=(0, 2, 3))
 
-    return _op(out, [(x, vjp_x), (kernel, vjp_k), (bias, vjp_b)])
+    full = stride == 1 and padding < min(kh, kw)
+    return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
 
 
 def batch_norm(x: Variable, gamma: Variable, beta: Variable,

@@ -83,13 +83,21 @@ class Pcg32:
             seq[i], seq[j] = seq[j], seq[i]
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64): it would alias the seed mod 2**64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def derive_stream(base_seed: int, tag: str, index: int = 0) -> Pcg32:
     """Independent generator for (base_seed, tag, index).
 
     The same triple always yields the same sequence; distinct triples yield
     unrelated sequences. Results do not depend on how many other streams
-    were derived or consumed before this one.
+    were derived or consumed before this one. `base_seed` must lie in
+    [0, 2**64) (`check_seed`).
     """
-    key = _mix64((base_seed & _MASK64) ^ _fnv1a64(tag.encode("utf-8")))
+    check_seed(base_seed)
+    key = _mix64(base_seed ^ _fnv1a64(tag.encode("utf-8")))
     key = _mix64(key ^ _mix64((index & _MASK64) + 0x9E3779B97F4A7C15))
     return Pcg32(seed=_mix64(key + 1), stream=_mix64(key + 2))

@@ -132,11 +132,10 @@ def write_synthetic_dataset(out_dir, n_per_class: "int | Sequence[int]",
     """Write PGM images plus a manifest.csv; returns (manifest path, images dir).
 
     The manifest carries a TRAIN pool and a disjoint TEST pool of the same
-    per-class counts, so the written dataset is directly trainable.
+    per-class counts, so the written dataset is directly trainable. Every
+    image is generated before anything is created under `out_dir`, so a
+    rejected count, size or seed leaves it untouched.
     """
-    out = Path(out_dir)
-    img_dir = out / "images"
-    img_dir.mkdir(parents=True, exist_ok=True)
     records: list[SampleRecord] = []
     images: dict[str, GrayImage] = {}
     for split in ("Train", "Test"):
@@ -144,6 +143,9 @@ def write_synthetic_dataset(out_dir, n_per_class: "int | Sequence[int]",
                                             prefix=f"{prefix}_{split.lower()}")
         records.extend(recs)
         images.update(imgs)
+    out = Path(out_dir)
+    img_dir = out / "images"
+    img_dir.mkdir(parents=True, exist_ok=True)
     for ref, img in images.items():
         (img_dir / ref).write_bytes(write_pgm(img))
     manifest = out / "manifest.csv"

@@ -26,7 +26,7 @@ from .images import AugmentationConfig
 from .losses import FocalParams, cross_entropy, focal_loss
 from .metrics import accuracy, confusion, epoch_average_accuracy
 from .nn import Model, build_model, mini_densenet, mini_resnet
-from .rng import derive_stream
+from .rng import check_seed, derive_stream
 
 _AUG_EPOCH_STRIDE = 1_000_003  # distinct augmentation stream per (epoch, position)
 LR_STEP = 10
@@ -95,9 +95,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        # the streams and the checkpoint's seed limbs both keep the seed mod 2**64
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # the checkpoint records the seed as well, so reject it up front
+        check_seed(self.seed)
 
     @property
     def spec(self) -> Preset:

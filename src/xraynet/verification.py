@@ -62,6 +62,15 @@ def check_ops(f64: bool = False, seed: int = 7) -> dict[str, float]:
     proj = _positive(rng, (1, 2, 3, 3), dtype)
     check("conv2d", lambda: ad.sum_axes(ad.bmul(
         ad.conv2d(x, k, b, stride=2, padding=1), ad.constant(proj))), [x, k, b])
+    # stride 1 takes the transposed-conv input gradient; its own stream keeps
+    # the later probes' inputs unchanged
+    rs = derive_stream(seed, "gradcheck.ops.conv2d_stride1")
+    xs = Variable(_positive(rs, (1, 2, 5, 4), dtype), requires_grad=True)
+    ks = Variable(_positive(rs, (2, 2, 3, 3), dtype), requires_grad=True)
+    bs = Variable(_positive(rs, (2,), dtype), requires_grad=True)
+    projs = _positive(rs, (1, 2, 5, 4), dtype)
+    check("conv2d_stride1", lambda: ad.sum_axes(ad.bmul(
+        ad.conv2d(xs, ks, bs, stride=1, padding=1), ad.constant(projs))), [xs, ks, bs])
 
     # modest spread plus positive projection keeps the centered bn gradients
     # clear of the noise floor

@@ -32,6 +32,27 @@ def reference_conv2d(x, k, b, stride=1, padding=0):
     return out
 
 
+def reference_conv2d_vjp(x, k, g, stride=1, padding=0):
+    """Adjoint of `reference_conv2d` by the same loops: (dx, dk), float64."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros(k.shape, dtype=np.float64)
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(g.shape[2]):
+                for ox in range(g.shape[3]):
+                    gv = float(g[ni, co, oy, ox])
+                    for ci in range(cin):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                iy, ix = oy * stride + ky, ox * stride + kx
+                                dxp[ni, ci, iy, ix] += gv * k[co, ci, ky, kx]
+                                dk[co, ci, ky, kx] += gv * xp[ni, ci, iy, ix]
+    return dxp[:, :, padding:padding + h, padding:padding + w], dk
+
+
 class TestConv2d:
     def test_all_ones_window_sum(self):
         x = Variable(np.ones((1, 1, 3, 3), dtype=np.float32))
@@ -74,6 +95,28 @@ class TestConv2d:
         b = np.floor(rng.uniform_array((cout,), -4, 5)).astype(np.float32)
         out = ad.conv2d(Variable(x), Variable(k), Variable(b), stride=stride, padding=padding)
         npt.assert_array_equal(out.data, reference_conv2d(x, k, b, stride, padding).astype(np.float32))
+
+    @pytest.mark.parametrize("hw", [(9, 8), (7, 7)])
+    @pytest.mark.parametrize("kshape", [(1, 1), (2, 2), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_match_loop_oracle_exactly_on_integer_tensors(self, stride, padding, kshape, hw):
+        # stride 1 with padding < min(kh, kw) takes the transposed-conv dx,
+        # every other case (k=1 p>=1, k=2 p=2, all stride 2) the col2im one;
+        # integer values keep every sum exact in any order
+        kh, kw = kshape
+        rng = Pcg32(stride * 100 + padding * 10 + kh, kw * 10 + hw[0])
+        x = np.floor(rng.uniform_array((2, 3, *hw), -4, 5)).astype(np.float32)
+        k = np.floor(rng.uniform_array((4, 3, kh, kw), -4, 5)).astype(np.float32)
+        b = np.floor(rng.uniform_array((4,), -4, 5)).astype(np.float32)
+        xv, kv, bv = (Variable(a, requires_grad=True) for a in (x, k, b))
+        out = ad.conv2d(xv, kv, bv, stride=stride, padding=padding)
+        g = np.floor(rng.uniform_array(out.shape, -4, 5)).astype(np.float32)
+        backward(ad.sum_axes(ad.bmul(out, ad.constant(g))))  # upstream gradient g
+        dx, dk = reference_conv2d_vjp(x, k, g, stride, padding)
+        for v, want in ((xv, dx), (kv, dk), (bv, g.sum(axis=(0, 2, 3)))):
+            assert v.grad.dtype == np.float32
+            npt.assert_array_equal(v.grad, want.astype(np.float32))
 
     def test_matches_loop_oracle_on_float_tensors(self):
         rng = Pcg32(99, 1)

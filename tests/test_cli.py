@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from xraynet.checkpoint import save_checkpoint
 from xraynet.cli import main
+from xraynet.nn import build_model, mini_resnet
+from xraynet.rng import derive_stream
 from xraynet.training import parse_metrics_csv
 
 
@@ -67,6 +70,14 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
+    def test_synth_seed_outside_64_bits_exit2_and_writes_nothing(self, tmp_path, capsys, seed):
+        out = tmp_path / "data"
+        assert run("synth", "--per-class", "1", "--size", "16", "--seed", seed,
+                   "--out", str(out)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_data_source_exit2(self, tmp_path):
         assert run("train", "--preset", "RCE", "--out", str(tmp_path / "r")) == 2
 
@@ -103,6 +114,16 @@ class TestTransferFlow:
         assert run("eval", "--checkpoint", str(out / "model.xrnc"),
                    "--synthetic", "2", "--seed", "5", "--split", "test",
                    "--batch-size", "4") == 0
+
+    @pytest.mark.parametrize("source", ["synthetic", "manifest"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
+    def test_eval_seed_outside_64_bits_exit2(self, synth_dir, tmp_path, capsys, seed, source):
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=32), derive_stream(0, "init")), ckpt)
+        data = (["--synthetic", "2"] if source == "synthetic" else
+                ["--manifest", str(synth_dir / "manifest.csv"), "--images-root", str(synth_dir)])
+        assert run("eval", "--checkpoint", str(ckpt), *data, "--seed", seed) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint_exit2(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "nope.xrnc"),

@@ -326,3 +326,13 @@ def test_extra_manifest_appends_records(tmp_path):
     pool = merged.train + merged.val
     x, labels = make_batch(pool, range(len(pool)), merged.images, 16)
     assert x.shape[0] == 20 and np.bincount(labels, minlength=4).tolist() == [5, 5, 5, 5]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+def test_from_manifest_rejects_seed_outside_64_bits(tmp_path, seed):
+    from xraynet.dataset import from_manifest
+    from xraynet.synth import write_synthetic_dataset
+
+    manifest, _ = write_synthetic_dataset(tmp_path, 1, size=16, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        from_manifest(manifest, tmp_path, input_size=16, seed=seed)

@@ -36,6 +36,19 @@ def test_derive_order_independent():
     assert derive_stream(5, "a", 3).next_u32() == first
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+def test_derive_stream_rejects_seed_outside_64_bits(seed):
+    # these used to alias seed mod 2**64 (-1 gave the streams of 2**64 - 1)
+    with pytest.raises(ValueError, match="seed"):
+        derive_stream(seed, "sampler")
+
+
+def test_derive_stream_accepts_both_ends_of_the_seed_range():
+    for seed in (0, 2 ** 64 - 1):
+        assert derive_stream(seed, "sampler").next_u32() == derive_stream(seed, "sampler").next_u32()
+    assert derive_stream(0, "x").next_u32() != derive_stream(2 ** 64 - 1, "x").next_u32()
+
+
 def test_uniform_range_and_array():
     g = Pcg32(1, 1)
     vals = [g.uniform() for _ in range(1000)]

@@ -116,3 +116,12 @@ class TestDiskExport:
             for ref, img in images.items():
                 on_disk = read_pgm((img_dir / ref).read_bytes())
                 npt.assert_array_equal(on_disk.pixels, img.pixels)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_rejected_before_anything_is_written(self, tmp_path, seed):
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match="seed"):
+            write_synthetic_dataset(out, 1, size=16, seed=seed)
+        assert not out.exists()
+        with pytest.raises(ValueError, match="seed"):
+            synthetic_bundle(1, size=16, seed=seed)
