@@ -9,12 +9,10 @@ from .dataset import (ClassLabel, DataBundle, ManifestConfig, SampleRecord, bina
                       class_distribution, compute_class_weights, default_mapping, from_manifest,
                       make_batch, one_hot, parse_manifest, sample_weights,
                       stratified_val_split, weighted_sample)
-from .images import (AugmentationConfig, GrayImage, augment, hflip, intensity_histogram,
-                     load_image, read_pgm, resize_bilinear, rotate, to_unit_float, vflip,
-                     write_pgm)
+from .images import (GrayImage, augment, hflip, intensity_histogram, load_image, read_pgm,
+                     resize_bilinear, rotate, to_unit_float, vflip, write_pgm)
 from .losses import FocalParams, cross_entropy, focal_loss
-from .metrics import (accuracy, confusion, epoch_average_accuracy, macro_accuracy,
-                      per_class_accuracy, predictions)
+from .metrics import accuracy, confusion, epoch_average_accuracy, predictions
 from .nn import (ArchitectureConfig, Model, ParameterStore, build_model, freeze_backbone,
                  mini_densenet, mini_resnet, replace_head)
 from .rng import Pcg32, derive_stream

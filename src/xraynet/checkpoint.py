@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import HEAD_PREFIX, Model, mini_densenet, mini_resnet
+from .nn import HEAD_PREFIX, ArchitectureConfig, Model
 from .rng import Pcg32
 
 MAGIC = b"XRNC"
@@ -183,14 +183,13 @@ def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> di
     return meta
 
 
-def model_from_checkpoint(path, dtype=np.float32) -> tuple[Model, dict]:
+def model_from_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a Mini-preset model described by a checkpoint's metadata and load it."""
     _, meta = read_checkpoint(path)
     arch = meta.get("arch")
     if not arch or arch["family"] not in ("resnet", "densenet"):
         raise CheckpointError(f"{path}: checkpoint carries no usable architecture metadata")
-    builder = mini_resnet if arch["family"] == "resnet" else mini_densenet
-    config = builder(num_classes=arch["num_classes"], input_size=arch["input_size"])
-    model = Model(config, Pcg32(0, 0), dtype=dtype)
+    config = ArchitectureConfig(arch["family"], arch["input_size"], arch["num_classes"])
+    model = Model(config, Pcg32(0, 0))
     load_checkpoint(model, path)
     return model, meta

@@ -4,6 +4,8 @@ Manifests are CSV files whose column names and label-derivation rules come
 from an editable `ManifestConfig` (a default CoronaHack-style mapping ships
 with the package). Sampling weights are reciprocal class counts, so every
 class carries equal total probability mass regardless of its size.
+Manifest and synthetic bundles are split one way, by `split_bundle`, and
+training batches augment on the fixed schedule of `images`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 # augment, resize_bilinear and to_unit_float stay importable from here:
 # perfbench/tracing.py wraps the dataset module's names
-from .images import (AugmentationConfig, GrayImage, augment, load_image,  # noqa: F401
-                     resize_augmented, resize_bilinear, to_unit_float)
+from .images import (GrayImage, augment, load_image, resize_augmented,  # noqa: F401
+                     resize_bilinear, to_unit_float)
 from .rng import Pcg32, derive_stream
 
 SPLITS = ("Train", "Test")
@@ -138,9 +140,9 @@ def parse_manifest(data: "bytes | str", config: ManifestConfig) -> ParseResult:
     return result
 
 
-def class_distribution(records: Sequence[SampleRecord], num_classes: int = 4) -> np.ndarray:
-    """(num_classes, 2) counts with columns ordered as SPLITS."""
-    out = np.zeros((num_classes, len(SPLITS)), dtype=np.int64)
+def class_distribution(records: Sequence[SampleRecord]) -> np.ndarray:
+    """(4, 2) counts, rows ordered as CLASS_NAMES and columns as SPLITS."""
+    out = np.zeros((len(CLASS_NAMES), len(SPLITS)), dtype=np.int64)
     for r in records:
         out[r.label, SPLITS.index(r.split)] += 1
     return out
@@ -190,29 +192,26 @@ def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[Sampl
     return out
 
 
-def stratified_val_split(records: Sequence[SampleRecord], fraction: float,
+def stratified_val_split(records: Sequence[SampleRecord],
                          rng: Pcg32) -> tuple[list[SampleRecord], list[SampleRecord]]:
     """Carve a seeded, class-stratified validation subset out of `records`.
 
-    Each class with at least 2 samples contributes max(1, round(fraction*n))
-    of them (never all); classes with a single sample stay in train. Both
+    Each class with at least 2 samples contributes
+    max(1, round(VAL_FRACTION * n)) of them, never all (VAL_FRACTION < 0.75
+    keeps that below n); classes with a single sample stay in train. Both
     outputs preserve the original record order.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"val fraction must lie in [0, 1), got {fraction}")
     by_class: dict[int, list[int]] = {}
     for i, r in enumerate(records):
         by_class.setdefault(r.label, []).append(i)
     val_idx: set[int] = set()
-    if fraction > 0:
-        for label in sorted(by_class):
-            idxs = list(by_class[label])
-            if len(idxs) < 2:
-                continue
-            k = max(1, int(len(idxs) * fraction + 0.5))
-            k = min(k, len(idxs) - 1)
-            rng.shuffle(idxs)
-            val_idx.update(idxs[:k])
+    for label in sorted(by_class):
+        idxs = list(by_class[label])
+        if len(idxs) < 2:
+            continue
+        k = max(1, int(len(idxs) * VAL_FRACTION + 0.5))
+        rng.shuffle(idxs)
+        val_idx.update(idxs[:k])
     train = [r for i, r in enumerate(records) if i not in val_idx]
     val = [r for i, r in enumerate(records) if i in val_idx]
     return train, val
@@ -240,13 +239,29 @@ class DataBundle:
         return counts
 
 
+def split_bundle(records: Sequence[SampleRecord], images: Callable[[str], GrayImage],
+                 input_size: int, seed: int, binary: tuple[int, int] | None) -> DataBundle:
+    """Bundle `records` as every data source does: keep only the `binary`
+    classes (relabelled 0 and 1) when given, take the Test records as the
+    test split, and hold out `VAL_FRACTION` of each class's Train records,
+    drawn from the seed's "valsplit" stream, for validation."""
+    num_classes = len(CLASS_NAMES)
+    if binary is not None:
+        records = binary_filter(records, *binary)
+        num_classes = 2
+    train_pool = [r for r in records if r.split == "Train"]
+    test = [r for r in records if r.split == "Test"]
+    train, val = stratified_val_split(train_pool, derive_stream(seed, "valsplit"))
+    return DataBundle(train=train, val=val, test=test, images=images,
+                      num_classes=num_classes, input_size=input_size)
+
+
 def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = None,
                   input_size: int = 64, seed: int = 0,
                   binary: tuple[int, int] | None = None,
                   extra_manifest=None, extra_images_root=None) -> DataBundle:
     """Bundle a manifest (plus an optional supplementary manifest, e.g. extra
-    minority-class samples) into train/val/test splits, holding out
-    `VAL_FRACTION` of each class's Train records for validation.
+    minority-class samples) into train/val/test splits by `split_bundle`.
 
     Supplementary records keep their own split tags; their image references
     resolve against `extra_images_root` when given, falling back to the main
@@ -261,13 +276,6 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
         extra = parse_manifest(Path(extra_manifest).read_bytes(), mapping)
         records.extend(extra.records)
         extra_root = Path(extra_images_root) if extra_images_root else None
-    num_classes = 4
-    if binary is not None:
-        records = binary_filter(records, *binary)
-        num_classes = 2
-    train_pool = [r for r in records if r.split == "Train"]
-    test = [r for r in records if r.split == "Test"]
-    train, val = stratified_val_split(train_pool, VAL_FRACTION, derive_stream(seed, "valsplit"))
 
     def load(ref: str) -> GrayImage:
         main = root / ref
@@ -275,8 +283,7 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
             return load_image(extra_root / ref)
         return load_image(main)
 
-    return DataBundle(train=train, val=val, test=test, images=load,
-                      num_classes=num_classes, input_size=input_size)
+    return split_bundle(records, load, input_size, seed, binary)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -288,23 +295,23 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def make_batch(records: Sequence[SampleRecord], indices: Sequence[int],
                images: Callable[[str], GrayImage], size: int,
-               augment_config: AugmentationConfig | None = None,
                augment_rngs: Sequence[Pcg32] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (N, 1, size, size) float32 pixels in [0, 1] plus labels.
 
-    Batch order equals index order. When augmenting, `augment_rngs` supplies
-    one pre-derived stream per position so composition is identical for any
-    worker layout. Each sample comes from `images.resize_augmented`: flips,
-    rotation and the float conversion are evaluated only at the source pixels
-    the resize reads, never at source resolution, and the result is bit for
-    bit `resize_bilinear(to_unit_float(augment(img, ...)), size, size)`.
+    Batch order equals index order. `augment_rngs`, when given, supplies one
+    pre-derived augmentation stream per position, so composition is identical
+    for any worker layout; None means no augmentation. Each sample comes from
+    `images.resize_augmented`: flips, rotation and the float conversion are
+    evaluated only at the source pixels the resize reads, never at source
+    resolution, and the result is bit for bit
+    `resize_bilinear(to_unit_float(augment(img, rng)), size, size)`.
     """
     n = len(indices)
     x = np.empty((n, 1, size, size), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     for pos, idx in enumerate(indices):
         rec = records[idx]
-        rng = augment_rngs[pos] if augment_config is not None else None
-        x[pos, 0] = resize_augmented(images(rec.image_ref), size, augment_config, rng)
+        rng = augment_rngs[pos] if augment_rngs is not None else None
+        x[pos, 0] = resize_augmented(images(rec.image_ref), size, rng)
         labels[pos] = rec.label
     return x, labels

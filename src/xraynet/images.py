@@ -6,6 +6,10 @@ are exact pixel permutations (they preserve the intensity histogram bit for
 bit); rotation resamples bilinearly around the image center with zero fill,
 and a rotation by 0 degrees is an exact identity.
 
+Every run augments with one fixed schedule: hflip with probability
+`P_HFLIP`, vflip with `P_VFLIP`, and with `P_ROTATE` a rotation by an angle
+drawn uniformly from [-`ROTATION_RANGE`, +`ROTATION_RANGE`] degrees.
+
 The resize to `size` reads at most 2*size rows and columns of its source,
 and flips, rotation and the unit-float conversion compute each pixel on its
 own, so `resize_augmented` (the training input path) evaluates them only at
@@ -47,26 +51,11 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """Flip/rotation schedule: each transform fires independently.
-
-    `rotation_range` is the half-width in degrees; angles are drawn
-    uniformly from [-rotation_range, +rotation_range].
-    """
-
-    p_hflip: float = 0.5
-    p_vflip: float = 0.5
-    p_rotate: float = 0.3
-    rotation_range: float = 15.0
-
-    def __post_init__(self):
-        for name in ("p_hflip", "p_vflip", "p_rotate"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.rotation_range < 0:
-            raise ValueError("rotation_range must be non-negative")
+# the augmentation schedule: each transform fires independently
+P_HFLIP = 0.5
+P_VFLIP = 0.5
+P_ROTATE = 0.3
+ROTATION_RANGE = 15.0  # half-width in degrees of the uniform rotation angle
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +197,22 @@ def _bilinear_zero_fill(pix: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.n
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
 
 
-def _draw_transforms(config: AugmentationConfig, rng: Pcg32) -> tuple[bool, bool, float | None]:
+def _draw_transforms(rng: Pcg32) -> tuple[bool, bool, float | None]:
     """(hflip, vflip, rotation angle or None), drawn as `augment` documents."""
     u_h, u_v, u_r, u_angle = (rng.uniform() for _ in range(4))
     angle = None
-    if u_r < config.p_rotate:
-        angle = -config.rotation_range + 2.0 * config.rotation_range * u_angle
-    return u_h < config.p_hflip, u_v < config.p_vflip, angle
+    if u_r < P_ROTATE:
+        angle = -ROTATION_RANGE + 2.0 * ROTATION_RANGE * u_angle
+    return u_h < P_HFLIP, u_v < P_VFLIP, angle
 
 
-def augment(img: GrayImage, config: AugmentationConfig, rng: Pcg32) -> GrayImage:
+def augment(img: GrayImage, rng: Pcg32) -> GrayImage:
     """Apply hflip, then vflip, then rotation, each by its own coin.
 
     Exactly four uniforms are consumed per call regardless of outcomes, so
     the stream position never depends on which transforms fired.
     """
-    flip_h, flip_v, angle = _draw_transforms(config, rng)
+    flip_h, flip_v, angle = _draw_transforms(rng)
     if flip_h:
         img = hflip(img)
     if flip_v:
@@ -280,17 +269,16 @@ def _tap_grid(n_in: int, n_out: int):
     return grid, (where[:n_out], where[n_out:], frac)
 
 
-def resize_augmented(img: GrayImage, size: int, config: AugmentationConfig | None,
-                     rng: Pcg32 | None) -> np.ndarray:
+def resize_augmented(img: GrayImage, size: int, rng: Pcg32 | None) -> np.ndarray:
     """(size, size) float32 in [0, 1]: bit for bit
-    `resize_bilinear(to_unit_float(augment(img, config, rng)), size, size)`,
-    or the same without `augment` when `config` is None.
+    `resize_bilinear(to_unit_float(augment(img, rng)), size, size)`, or the
+    same without `augment` when `rng` is None.
 
     Flips, rotation and the unit-float conversion are evaluated only at the
     source pixels the resize reads, then blended; flips are views of the
     source, so nothing the size of the source is allocated.
     """
-    flip_h, flip_v, angle = (False, False, None) if config is None else _draw_transforms(config, rng)
+    flip_h, flip_v, angle = (False, False, None) if rng is None else _draw_transforms(rng)
     pix = img.pixels[::-1 if flip_v else 1, ::-1 if flip_h else 1]
     h, w = pix.shape
     if (h, w) == (size, size):  # the resize is the identity, as in resize_bilinear

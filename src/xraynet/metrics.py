@@ -33,10 +33,6 @@ def confusion(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> np.nd
     return mat
 
 
-def per_class_accuracy(logits: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return per_class_from_confusion(confusion(logits, labels, num_classes))
-
-
 def per_class_from_confusion(mat: np.ndarray) -> np.ndarray:
     """diagonal / row sum; classes with no samples report NaN (undefined)."""
     totals = mat.sum(axis=1)
@@ -44,14 +40,6 @@ def per_class_from_confusion(mat: np.ndarray) -> np.ndarray:
     present = totals > 0
     out[present] = mat.diagonal()[present] / totals[present]
     return out
-
-
-def macro_accuracy(per_class: np.ndarray) -> float:
-    """Mean over defined (non-NaN) per-class accuracies."""
-    vals = per_class[~np.isnan(per_class)]
-    if vals.size == 0:
-        raise ValueError("no class has samples")
-    return float(vals.mean())
 
 
 def epoch_average_accuracy(per_epoch: "list[float] | np.ndarray") -> float:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import VAL_FRACTION, DataBundle, SampleRecord, binary_filter, stratified_val_split
+from .dataset import DataBundle, SampleRecord, split_bundle
 from .images import GrayImage, write_pgm
 from .rng import derive_stream
 
@@ -82,22 +82,15 @@ def make_synthetic_dataset(n_per_class: "int | Sequence[int]", size: int = 64,
 def synthetic_bundle(n_per_class: "int | Sequence[int]", size: int = 64, seed: int = 0,
                      test_per_class: "int | Sequence[int] | None" = None,
                      binary: tuple[int, int] | None = None) -> DataBundle:
-    """Train/val/test bundle over two disjoint synthetic pools; val is
-    `VAL_FRACTION` of each class in the train pool, as in `from_manifest`."""
+    """Train/val/test bundle over two disjoint synthetic pools, split by
+    `split_bundle` as `from_manifest` splits a manifest."""
     train_pool, train_imgs = make_synthetic_dataset(n_per_class, size, seed,
                                                     split="Train", prefix="train")
     test_counts = n_per_class if test_per_class is None else test_per_class
     test, test_imgs = make_synthetic_dataset(test_counts, size, seed,
                                              split="Test", prefix="test")
-    num_classes = 4
-    if binary is not None:
-        train_pool = binary_filter(train_pool, *binary)
-        test = binary_filter(test, *binary)
-        num_classes = 2
-    train, val = stratified_val_split(train_pool, VAL_FRACTION, derive_stream(seed, "valsplit"))
     images = {**train_imgs, **test_imgs}
-    return DataBundle(train=train, val=val, test=test, images=images.__getitem__,
-                      num_classes=num_classes, input_size=size)
+    return split_bundle(train_pool + test, images.__getitem__, size, seed, binary)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from . import autodiff as ad
 from .autodiff import Variable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import DataBundle, compute_class_weights, make_batch, one_hot, sample_weights, weighted_sample
-from .images import AugmentationConfig
 from .losses import FocalParams, cross_entropy, focal_loss
 from .metrics import accuracy, confusion, epoch_average_accuracy
-from .nn import Model, build_model, mini_densenet, mini_resnet
+from .nn import ArchitectureConfig, Model, build_model
 from .rng import check_seed, derive_stream
 
 _AUG_EPOCH_STRIDE = 1_000_003  # distinct augmentation stream per (epoch, position)
@@ -95,6 +94,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
+        if self.checkpoint and not self.spec.pretrained:
+            raise ValueError(f"preset {self.preset} trains from scratch and takes no checkpoint")
         # the checkpoint records the seed as well, so reject it up front
         check_seed(self.seed)
 
@@ -244,18 +245,16 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
     loss_fn = loss_fn or make_loss(config)
     lr = lr_at_epoch(epoch, config)
     indices = _epoch_indices(bundle, config, epoch)
-    aug_cfg = AugmentationConfig() if config.augment else None
 
     loss_sum = 0.0
     correct = 0
     for lo, hi in _batches(len(indices), config.batch_size):
         batch_idx = indices[lo:hi]
         rngs = None
-        if aug_cfg is not None:
+        if config.augment:
             rngs = [derive_stream(config.seed, "augment", epoch * _AUG_EPOCH_STRIDE + lo + k)
                     for k in range(len(batch_idx))]
-        x, labels = make_batch(bundle.train, batch_idx, bundle.images,
-                               bundle.input_size, aug_cfg, rngs)
+        x, labels = make_batch(bundle.train, batch_idx, bundle.images, bundle.input_size, rngs)
         logits = model.forward(x, train=True)
         loss = loss_fn(logits, one_hot(labels, bundle.num_classes))
         model.store.zero_grads()
@@ -271,10 +270,9 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
                         val_loss=val_loss, val_acc=val_acc)
 
 
-def build_for_config(config: TrainConfig, dtype=np.float32) -> Model:
-    builder = mini_resnet if config.spec.family == "resnet" else mini_densenet
-    arch = builder(num_classes=config.num_classes, input_size=config.input_size)
-    return build_model(arch, derive_stream(config.seed, "init"), dtype=dtype)
+def build_for_config(config: TrainConfig) -> Model:
+    arch = ArchitectureConfig(config.spec.family, config.input_size, config.num_classes)
+    return build_model(arch, derive_stream(config.seed, "init"))
 
 
 def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
@@ -282,6 +280,9 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
     if config.num_classes != bundle.num_classes:
         raise ValueError(
             f"config expects {config.num_classes} classes but data has {bundle.num_classes}")
+    if config.input_size != bundle.input_size:
+        raise ValueError(
+            f"config expects {config.input_size} px inputs but data is {bundle.input_size} px")
     if config.spec.pretrained:
         if not config.checkpoint:
             raise ValueError(f"preset {config.preset} needs a pretrained checkpoint (--checkpoint)")

@@ -21,11 +21,13 @@ from . import autodiff as ad
 from .autodiff import Variable, grad_check, grad_check_directional
 from .dataset import one_hot
 from .losses import FocalParams, cross_entropy, focal_loss
-from .nn import build_model, mini_densenet, mini_resnet
+from .nn import ArchitectureConfig, build_model
 from .rng import Pcg32, derive_stream
 
 F32_H, F32_THRESHOLD = 1e-3, 1e-2
 F64_H, F64_THRESHOLD = 1e-5, 1e-5
+# the seeds of the probe inputs of check_ops, check_losses and check_architecture
+OPS_SEED, LOSSES_SEED, ARCH_SEED = 7, 11, 13
 
 
 def settings(f64: bool) -> tuple[np.dtype, float, float]:
@@ -45,10 +47,10 @@ def _positive(rng: Pcg32, shape, dtype, lo: float = 0.3, hi: float = 1.2) -> np.
     return rng.uniform_array(shape, lo, hi).astype(dtype)
 
 
-def check_ops(f64: bool = False, seed: int = 7) -> dict[str, float]:
+def check_ops(f64: bool = False) -> dict[str, float]:
     """Max FD relative error for every differentiable op, keyed by op name."""
     dtype, h, _ = settings(f64)
-    rng = derive_stream(seed, "gradcheck.ops")
+    rng = derive_stream(OPS_SEED, "gradcheck.ops")
     errors: dict[str, float] = {}
 
     def check(name: str, fn, params):
@@ -64,7 +66,7 @@ def check_ops(f64: bool = False, seed: int = 7) -> dict[str, float]:
         ad.conv2d(x, k, b, stride=2, padding=1), ad.constant(proj))), [x, k, b])
     # stride 1 takes the transposed-conv input gradient; its own stream keeps
     # the later probes' inputs unchanged
-    rs = derive_stream(seed, "gradcheck.ops.conv2d_stride1")
+    rs = derive_stream(OPS_SEED, "gradcheck.ops.conv2d_stride1")
     xs = Variable(_positive(rs, (1, 2, 5, 4), dtype), requires_grad=True)
     ks = Variable(_positive(rs, (2, 2, 3, 3), dtype), requires_grad=True)
     bs = Variable(_positive(rs, (2,), dtype), requires_grad=True)
@@ -131,9 +133,9 @@ def check_ops(f64: bool = False, seed: int = 7) -> dict[str, float]:
     return errors
 
 
-def check_losses(f64: bool = False, seed: int = 11) -> dict[str, float]:
+def check_losses(f64: bool = False) -> dict[str, float]:
     dtype, h, _ = settings(f64)
-    rng = derive_stream(seed, "gradcheck.losses")
+    rng = derive_stream(LOSSES_SEED, "gradcheck.losses")
     errors: dict[str, float] = {}
     n, c = 3, 4
     logits = Variable(rng.uniform_array((n, c), -1.0, 1.0).astype(dtype), requires_grad=True)
@@ -161,7 +163,7 @@ def check_losses(f64: bool = False, seed: int = 11) -> dict[str, float]:
     return errors
 
 
-def check_architecture(family: str, f64: bool = False, seed: int = 13) -> float:
+def check_architecture(family: str, f64: bool = False) -> float:
     """End-to-end FD check of a Mini backbone + focal loss on a 2-image batch.
 
     Every parameter tensor is probed along its own gradient direction; the
@@ -172,10 +174,9 @@ def check_architecture(family: str, f64: bool = False, seed: int = 13) -> float:
     of three step sizes. Returns the max relative error over all probes.
     """
     dtype, h, threshold = settings(f64)
-    builder = mini_resnet if family == "resnet" else mini_densenet
-    model = build_model(builder(num_classes=4, input_size=16),
-                        derive_stream(seed, f"gradcheck.{family}"), dtype=dtype)
-    rng = derive_stream(seed, f"gradcheck.{family}.data")
+    model = build_model(ArchitectureConfig(family, 16, 4),
+                        derive_stream(ARCH_SEED, f"gradcheck.{family}"), dtype=dtype)
+    rng = derive_stream(ARCH_SEED, f"gradcheck.{family}.data")
     x = rng.uniform_array((2, 1, 16, 16), 0.0, 1.0).astype(dtype)
     targets = one_hot(np.array([rng.randint_below(4) for _ in range(2)]), 4)
 

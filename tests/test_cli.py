@@ -63,6 +63,15 @@ class TestTrain:
         assert run("train", "--preset", "PDCXCE", "--synthetic", "2",
                    "--out", str(tmp_path / "r")) == 2
 
+    def test_scratch_preset_with_checkpoint_exit2_and_writes_nothing(self, tmp_path, capsys):
+        ckpt = tmp_path / "backbone.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=32), derive_stream(0, "init")), ckpt)
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--checkpoint", str(ckpt), "--synthetic", "2",
+                   "--size", "32", "--out", str(out)) == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_outside_64_bits_exit2(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert run("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,9 @@ from xraynet.dataset import (ClassLabel, SampleRecord, binary_filter,
                              class_distribution, compute_class_weights, default_mapping,
                              make_batch, one_hot, parse_manifest, sample_weights,
                              stratified_val_split, weighted_sample)
-from xraynet.images import AugmentationConfig, GrayImage, augment, resize_bilinear, to_unit_float
+from scripted import ScriptedStream
+from xraynet import images
+from xraynet.images import GrayImage, augment, resize_bilinear, to_unit_float
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import make_synthetic_dataset, manifest_csv
 
@@ -189,8 +192,8 @@ class TestBinaryFilter:
 class TestValSplit:
     def test_stratified_and_deterministic(self):
         records, _ = make_synthetic_dataset(20, size=16, seed=2)
-        t1, v1 = stratified_val_split(records, 0.1, derive_stream(5, "valsplit"))
-        t2, v2 = stratified_val_split(records, 0.1, derive_stream(5, "valsplit"))
+        t1, v1 = stratified_val_split(records, derive_stream(5, "valsplit"))
+        t2, v2 = stratified_val_split(records, derive_stream(5, "valsplit"))
         assert t1 == t2 and v1 == v2
         assert len(v1) == 8  # 2 per class
         for c in range(4):
@@ -198,30 +201,15 @@ class TestValSplit:
 
     def test_never_consumes_whole_class(self):
         records = [SampleRecord(f"r{i}", 0, "Train") for i in range(2)]
-        train, val = stratified_val_split(records, 0.9, derive_stream(6, "valsplit"))
+        train, val = stratified_val_split(records, derive_stream(6, "valsplit"))
         assert len(train) == 1 and len(val) == 1
 
     def test_singleton_class_stays_in_train(self):
         records = [SampleRecord("solo", 0, "Train")] + \
                   [SampleRecord(f"r{i}", 1, "Train") for i in range(10)]
-        train, val = stratified_val_split(records, 0.1, derive_stream(7, "valsplit"))
+        train, val = stratified_val_split(records, derive_stream(7, "valsplit"))
         assert any(r.image_ref == "solo" for r in train)
         assert sum(r.label == 1 for r in val) == 1
-
-    def test_zero_fraction(self):
-        records, _ = make_synthetic_dataset(3, size=16, seed=3)
-        train, val = stratified_val_split(records, 0.0, derive_stream(8, "valsplit"))
-        assert val == [] and len(train) == 12
-
-
-class ScriptedStream:
-    """Stands in for a Pcg32 stream: returns the given uniforms in order."""
-
-    def __init__(self, uniforms):
-        self.uniforms = list(uniforms)
-
-    def uniform(self):
-        return self.uniforms.pop(0)
 
 
 class TestMakeBatch:
@@ -251,30 +239,33 @@ class TestMakeBatch:
     def test_bit_identical_to_full_resolution_composition(self, h, w, size, seed):
         pixels = np.floor(Pcg32(seed, 3).uniform_array((h, w), 0, 256)).astype(np.uint8)
         img = GrayImage(pixels)
-        # (rotation_range, angle uniform): angles 0 (twice), 15, -15, 45 and 180
+        # (ROTATION_RANGE, angle uniform): angles 0 (twice), 15, -15, 45 and 180
         rotations = [None, (0.0, 0.3), (15.0, 0.5), (15.0, 1.0), (15.0, 0.0), (45.0, 1.0),
                      (180.0, 1.0)]
         for flip_h in (False, True):
             for flip_v in (False, True):
                 for rotation in rotations:
-                    cfg = AugmentationConfig(0.5, 0.5, 0.5, 15.0 if rotation is None else rotation[0])
                     uniforms = [0.25 if flip_h else 0.75, 0.25 if flip_v else 0.75,
                                 0.75 if rotation is None else 0.25,
                                 0.5 if rotation is None else rotation[1]]
-                    expect = resize_bilinear(
-                        to_unit_float(augment(img, cfg, ScriptedStream(uniforms))), size, size)
-                    x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img, size,
-                                      cfg, [ScriptedStream(uniforms)])
+                    half_width = images.ROTATION_RANGE if rotation is None else rotation[0]
+                    with mock.patch.object(images, "ROTATION_RANGE", half_width):
+                        expect = resize_bilinear(
+                            to_unit_float(augment(img, ScriptedStream(uniforms))), size, size)
+                        x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img,
+                                          size, [ScriptedStream(uniforms)])
                     assert x[0, 0].tobytes() == expect.tobytes(), (flip_h, flip_v, rotation)
 
     def test_seeded_batch_bit_identical_to_composition(self):
-        records, images = make_synthetic_dataset(2, size=48, seed=9)
-        cfg = AugmentationConfig(p_rotate=0.7)
+        records, sources = make_synthetic_dataset(2, size=48, seed=9)
+        # the streams rotate some samples and leave others upright
+        drawn = [images._draw_transforms(derive_stream(4, "augment", k)) for k in range(len(records))]
+        assert {angle is None for _, _, angle in drawn} == {True, False}
         for size in (48, 20, 64):
-            x, _ = make_batch(records, range(len(records)), images.__getitem__, size, cfg,
+            x, _ = make_batch(records, range(len(records)), sources.__getitem__, size,
                               [derive_stream(4, "augment", k) for k in range(len(records))])
             for k, rec in enumerate(records):
-                aug = augment(images[rec.image_ref], cfg, derive_stream(4, "augment", k))
+                aug = augment(sources[rec.image_ref], derive_stream(4, "augment", k))
                 expect = resize_bilinear(to_unit_float(aug), size, size)
                 assert x[k, 0].tobytes() == expect.tobytes()
 
@@ -284,11 +275,11 @@ class TestMakeBatch:
         side = 2048
         img = GrayImage((np.arange(side * side, dtype=np.int64).reshape(side, side) % 251)
                         .astype(np.uint8))
-        cfg = AugmentationConfig(p_hflip=1.0, p_vflip=1.0, p_rotate=1.0)
         tracemalloc.start()
         try:
-            x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img, 64, cfg,
-                              [derive_stream(0, "augment", 0)])
+            # both flips and a 12 degree rotation
+            x, _ = make_batch([SampleRecord("a", 0, "Train")], [0], lambda ref: img, 64,
+                              [ScriptedStream([0.25, 0.25, 0.25, 0.9])])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xraynet.images import (AugmentationConfig, GrayImage, augment, hflip, intensity_histogram,
-                            load_image, read_pgm, resize_bilinear, rotate, to_unit_float,
-                            vflip, write_pgm)
+from scripted import ScriptedStream
+from xraynet import images
+from xraynet.images import (GrayImage, augment, hflip, intensity_histogram, load_image, read_pgm,
+                            resize_bilinear, rotate, to_unit_float, vflip, write_pgm)
 from xraynet.rng import Pcg32, derive_stream
 
 
@@ -171,40 +172,61 @@ def padded_rotation_reference(pix, degrees):
 class TestAugment:
     def test_forced_hflip(self):
         img = GrayImage(np.array([[1, 2]], dtype=np.uint8))
-        cfg = AugmentationConfig(p_hflip=1.0, p_vflip=0.0, p_rotate=0.0)
-        out = augment(img, cfg, Pcg32(0, 0))
+        # uniforms (hflip, vflip, rotate, angle): only the hflip coin fires
+        out = augment(img, ScriptedStream([0.25, 0.75, 0.75, 0.5]))
         npt.assert_array_equal(out.pixels, [[2, 1]])
 
     def test_forced_zero_angle_rotation_is_identity(self):
         img = random_image(7)
-        cfg = AugmentationConfig(p_hflip=0.0, p_vflip=0.0, p_rotate=1.0, rotation_range=0.0)
-        out = augment(img, cfg, Pcg32(1, 1))
+        # the rotation coin fires, and the middle of the angle range is 0 degrees
+        out = augment(img, ScriptedStream([0.75, 0.75, 0.0, 0.5]))
         npt.assert_array_equal(out.pixels, img.pixels)
 
     def test_deterministic_given_stream(self):
         img = random_image(8)
-        cfg = AugmentationConfig()
-        a = augment(img, cfg, derive_stream(3, "augment", 5))
-        b = augment(img, cfg, derive_stream(3, "augment", 5))
+        a = augment(img, derive_stream(3, "augment", 5))
+        b = augment(img, derive_stream(3, "augment", 5))
         npt.assert_array_equal(a.pixels, b.pixels)
 
     def test_stream_consumption_independent_of_outcomes(self):
         # four uniforms are always drawn, so the next draw is outcome-independent
-        for cfg in (AugmentationConfig(p_hflip=1.0, p_vflip=1.0, p_rotate=1.0),
-                    AugmentationConfig(p_hflip=0.0, p_vflip=0.0, p_rotate=0.0)):
-            rng = Pcg32(4, 4)
-            augment(random_image(9), cfg, rng)
+        for forced in ([0.0, 0.0, 0.0, 0.5], [0.99, 0.99, 0.99, 0.5]):  # all fire, none fire
+            stream = ScriptedStream(forced + [0.125])
+            augment(random_image(9), stream)
+            assert stream.uniforms == [0.125]
+        outcomes = set()
+        for k in range(16):
+            rng = derive_stream(4, "augment", k)
+            augment(random_image(9), rng)
             marker = rng.next_u32()
-            rng2 = Pcg32(4, 4)
+            rng2 = derive_stream(4, "augment", k)
             for _ in range(4):
                 rng2.uniform()
             assert marker == rng2.next_u32()
+            flip_h, flip_v, angle = images._draw_transforms(derive_stream(4, "augment", k))
+            outcomes.add((flip_h, flip_v, angle is None))
+        assert len(outcomes) >= 4  # the streams cover several outcome patterns
+        assert {rotated for _, _, rotated in outcomes} == {True, False}
 
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            AugmentationConfig(p_hflip=1.5)
-        with pytest.raises(ValueError):
-            AugmentationConfig(rotation_range=-3.0)
+    def test_schedule_shares_and_angle_range(self):
+        # the fixed schedule, pinned: each decision follows its own raw uniform,
+        # and each coin's share over 2000 seeded streams lies within 4 sigma of
+        # its probability
+        draws = []
+        for k in range(2000):
+            raw = derive_stream(0, "augment", k)
+            u_h, u_v, u_r, u_angle = (raw.uniform() for _ in range(4))
+            draw = images._draw_transforms(derive_stream(0, "augment", k))
+            assert draw == (u_h < 0.5, u_v < 0.5, -15.0 + 30.0 * u_angle if u_r < 0.3 else None)
+            draws.append(draw)
+        n = len(draws)
+        angles = np.array([a for _, _, a in draws if a is not None])
+        for share, p in ((sum(h for h, _, _ in draws) / n, 0.5),
+                         (sum(v for _, v, _ in draws) / n, 0.5),
+                         (len(angles) / n, 0.3)):
+            assert abs(share - p) < 4 * np.sqrt(p * (1 - p) / n), (share, p)
+        assert angles.min() >= -15.0 and angles.max() <= 15.0
+        assert angles.min() < -14.0 and angles.max() > 14.0  # the whole range is drawn
 
 
 def reference_bilinear(arr, out_h, out_w):

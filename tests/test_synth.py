@@ -5,6 +5,7 @@ import pytest
 from xraynet.dataset import class_distribution, default_mapping, parse_manifest
 from xraynet.images import read_pgm
 from xraynet.synth import make_synthetic_dataset, synthetic_bundle, write_synthetic_dataset
+from xraynet.training import TrainConfig, fit
 
 
 def gradient_features(pixels: np.ndarray) -> np.ndarray:
@@ -94,6 +95,13 @@ class TestBundle:
         counts = bundle.train_class_counts()
         assert counts.sum() + len(bundle.val) == 24
         assert {r.label for r in bundle.test} == {0, 1}
+
+    def test_binary_bundle_without_test_records_fails_in_fit(self):
+        bundle = synthetic_bundle((3, 0, 3, 0), size=16, seed=2,
+                                  test_per_class=(0, 3, 0, 3), binary=(0, 2))
+        assert bundle.test == [] and bundle.num_classes == 2
+        with pytest.raises(ValueError, match="test split is empty"):
+            fit(TrainConfig(preset="RCE", num_classes=2, input_size=16), bundle)
 
 
 class TestDiskExport:

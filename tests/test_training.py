@@ -153,6 +153,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             TrainConfig(preset="RCE", num_classes=1)
 
+    @pytest.mark.parametrize("preset", [p for p, spec in PRESETS.items() if not spec.pretrained])
+    def test_scratch_preset_rejects_checkpoint(self, preset):
+        # a scratch preset never loads one, so the run would silently ignore it
+        with pytest.raises(ValueError, match="checkpoint"):
+            TrainConfig(preset=preset, checkpoint="backbone.xrnc")
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # the streams and the checkpoint both keep a seed mod 2**64, so these
@@ -232,6 +238,14 @@ class TestFit:
             fit(cfg(preset="PRCE", seed=9), bundle)
         with pytest.raises(ValueError, match="not found"):
             fit(cfg(preset="PRCE", seed=9, checkpoint="/nonexistent.xrnc"), bundle)
+
+    def test_input_size_mismatch_rejected_before_writing(self, tmp_path):
+        # the model, config.json and the checkpoint would record 16 px while
+        # the batches are assembled at the data's 32 px
+        bundle = synthetic_bundle(2, size=32, seed=9)
+        with pytest.raises(ValueError, match="px"):
+            fit(cfg(seed=9, input_size=16), bundle, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_run_artifacts_written(self, tmp_path):
         bundle = synthetic_bundle(2, size=32, seed=10)
