@@ -1,8 +1,8 @@
-"""Command-line surface: stats, synth, pretrain, train, eval, gradcheck, curves.
+"""Command-line surface: stats, synth, train, eval, gradcheck, curves.
 
 Exit codes: 0 success, 1 internal/numeric failure, 2 usage or configuration
 error. Every training run echoes its fully resolved configuration (seed
-included) into the run directory before any computation starts.
+included) into the run directory before training starts.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, model_from_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, model_from_checkpoint
 from .dataset import (CLASS_NAMES, ClassLabel, ManifestConfig, SPLITS, class_distribution,
                       default_mapping, from_manifest, parse_manifest)
 from .images import intensity_histogram, load_image
 from .losses import FocalParams, cross_entropy
 from .metrics import per_class_from_confusion
 from .synth import synthetic_bundle, write_synthetic_dataset
-from .training import (PRESETS, TrainConfig, TrainingAborted, canonical_preset, evaluate,
-                       fit, parse_metrics_csv)
+from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit, parse_metrics_csv
 from .verification import run_scope, settings
+
+HIST_SAMPLES = 2  # per-sample histogram files `stats` writes for each class
 
 
 class UsageError(ValueError):
@@ -60,8 +61,8 @@ def _load_mapping(path: str | None) -> ManifestConfig:
 
 
 def _build_bundle(args):
-    binary = _parse_binary(args.binary) if getattr(args, "binary", None) else None
-    if getattr(args, "synthetic", None):
+    binary = _parse_binary(args.binary) if args.binary else None
+    if args.synthetic:
         counts = args.synthetic
         if binary is not None:
             per_class = [0, 0, 0, 0]
@@ -69,19 +70,18 @@ def _build_bundle(args):
             per_class[binary[1]] = counts
             counts = per_class
         return synthetic_bundle(counts, size=args.size, seed=args.seed, binary=binary)
-    if getattr(args, "manifest", None):
+    if args.manifest:
         manifest = Path(args.manifest)
         if not manifest.exists():
             raise UsageError(f"manifest not found: {manifest}")
-        if not getattr(args, "images_root", None):
+        if not args.images_root:
             raise UsageError("--images-root is required with --manifest")
-        extra = getattr(args, "extra_manifest", None)
+        extra = args.extra_manifest
         if extra and not Path(extra).exists():
             raise UsageError(f"extra manifest not found: {extra}")
         return from_manifest(manifest, args.images_root, _load_mapping(args.mapping),
                              input_size=args.size, seed=args.seed, binary=binary,
-                             extra_manifest=extra,
-                             extra_images_root=getattr(args, "extra_images_root", None))
+                             extra_manifest=extra, extra_images_root=args.extra_images_root)
     raise UsageError("provide a data source: --synthetic N or --manifest PATH")
 
 
@@ -114,7 +114,7 @@ def cmd_stats(args) -> int:
         written = 0
         for rec in result.records:
             k = per_class.get(rec.label, 0)
-            if k >= args.hist_samples:
+            if k >= HIST_SAMPLES:
                 continue
             img = load_image(root / rec.image_ref)
             hist = intensity_histogram(img)
@@ -147,34 +147,12 @@ def _train_config(args, num_classes: int) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    canonical_preset(args.preset)  # reject unknown codes before touching data
     bundle = _build_bundle(args)
     config = _train_config(args, bundle.num_classes)
-    if config.spec.pretrained and not config.checkpoint:
-        raise UsageError(f"preset {config.preset} requires --checkpoint")
     record = fit(config, bundle, run_dir=args.out)
     print(f"preset {config.preset}: test_accuracy={record.test_accuracy:.4f} "
           f"train_acc_avg={record.train_acc_avg:.4f} val_acc_avg={record.val_acc_avg:.4f}")
     print(f"run artifacts in {args.out}")
-    return 0
-
-
-def cmd_pretrain(args) -> int:
-    if args.arch == "resnet":
-        preset = "RCE"
-    elif args.arch == "densenet":
-        preset = "DCE"
-    else:
-        raise UsageError(f"unknown architecture {args.arch!r}")
-    bundle = synthetic_bundle(args.per_class, size=args.size, seed=args.seed)
-    config = TrainConfig(preset=preset, num_classes=4, epochs=args.epochs,
-                         batch_size=args.batch_size, seed=args.seed, input_size=args.size)
-    record = fit(config, bundle)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(record.model, out, epoch=config.epochs, seed=config.seed)
-    print(f"pretrained {args.arch} backbone -> {out} "
-          f"(train_acc_avg={record.train_acc_avg:.4f})")
     return 0
 
 
@@ -200,8 +178,6 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _, _, threshold = settings(args.f64)
-    if args.threshold is not None:
-        threshold = args.threshold
     errors = run_scope(args.scope, f64=args.f64)
     failed = False
     for name, err in errors.items():
@@ -236,9 +212,10 @@ def cmd_export_curves(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--synthetic", type=int, metavar="N",
-                   help="use N synthetic samples per class instead of a manifest")
-    p.add_argument("--manifest", help="dataset manifest CSV")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--synthetic", type=int, metavar="N",
+                        help="use N synthetic samples per class instead of a manifest")
+    source.add_argument("--manifest", help="dataset manifest CSV")
     p.add_argument("--mapping", help="manifest mapping JSON (default: CoronaHack mapping)")
     p.add_argument("--images-root", help="directory resolving manifest image references")
     p.add_argument("--binary", metavar="A,B",
@@ -262,28 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--mapping")
     p.add_argument("--images-root")
-    p.add_argument("--hist-samples", type=int, default=2,
-                   help="histogram files per class (default 2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="generate a synthetic PGM dataset + manifest")
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--counts", metavar="a,b,c,d", help="explicit per-class counts")
+    counts = p.add_mutually_exclusive_group()
+    counts.add_argument("--per-class", type=int)
+    counts.add_argument("--counts", metavar="a,b,c,d", help="explicit per-class counts")
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("pretrain", help="train a backbone on synthetic data, save a checkpoint")
-    p.add_argument("--arch", choices=("resnet", "densenet"), default="resnet")
-    p.add_argument("--per-class", type=int, default=10)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run a training preset")
     p.add_argument("--preset", required=True,
@@ -309,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=("ops", "losses", "resnet", "densenet", "all"),
                    default="all")
     p.add_argument("--f64", action="store_true", help="float64 verification mode")
-    p.add_argument("--threshold", type=float, help="override the pass threshold")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-curves", help="re-emit accuracy/loss curves from a run directory")

@@ -87,11 +87,6 @@ class ParameterStore:
         self.buffers[name] = arr
         return arr
 
-    def replace(self, name: str, var: Variable) -> None:
-        if name not in self.params:
-            raise KeyError(name)
-        self.params[name] = var
-
     def zero_grads(self) -> None:
         for v in self.params.values():
             v.zero_grad()
@@ -300,14 +295,9 @@ def replace_head(model: Model, num_classes: int, rng: Pcg32) -> None:
     """Re-dimension and re-initialize the classifier head; backbone untouched."""
     if num_classes < 2:
         raise ValueError("num_classes must be at least 2")
-    dtype = model.dtype
-    weight = Variable(_kaiming_uniform((num_classes, model.feature_dim),
-                                       model.feature_dim, rng, dtype), requires_grad=True)
-    bias = Variable(np.zeros(num_classes, dtype=dtype), requires_grad=True)
-    model.store.replace("head.weight", weight)
-    model.store.replace("head.bias", bias)
-    model.head.weight = weight
-    model.head.bias = bias
+    # the head is registered last, so re-registering it keeps the store's order
+    del model.store.params[HEAD_PREFIX + "weight"], model.store.params[HEAD_PREFIX + "bias"]
+    model.head = Linear(model.store, "head", model.feature_dim, num_classes, rng, model.dtype)
     model.num_classes = num_classes
 
 

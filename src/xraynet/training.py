@@ -24,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import DataBundle, compute_class_weights, make_batch, one_hot, sample_weights, weighted_sample
 from .losses import FocalParams, cross_entropy, focal_loss
 from .metrics import accuracy, confusion, epoch_average_accuracy
-from .nn import ArchitectureConfig, Model, build_model
+from .nn import ArchitectureConfig, Model, build_model, freeze_backbone
 from .rng import check_seed, derive_stream
 
 _AUG_EPOCH_STRIDE = 1_000_003  # distinct augmentation stream per (epoch, position)
@@ -94,8 +94,9 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if self.checkpoint and not self.spec.pretrained:
-            raise ValueError(f"preset {self.preset} trains from scratch and takes no checkpoint")
+        if (self.checkpoint or self.freeze) and not self.spec.pretrained:
+            raise ValueError(f"preset {self.preset} trains from scratch and takes no "
+                             "checkpoint and no frozen backbone")
         # the checkpoint records the seed as well, so reject it up front
         check_seed(self.seed)
 
@@ -185,19 +186,12 @@ class RunRecord:
 
 
 def make_loss(config: TrainConfig):
-    spec = config.spec
-    if spec.loss == "focal":
+    """(logits, targets) -> loss for the preset; the loss function is looked up
+    by name at each call, so a wrapper installed on this module is the one used."""
+    if config.spec.loss == "focal":
         params = config.focal
-
-        def focal(logits: Variable, targets: np.ndarray) -> Variable:
-            return focal_loss(logits, targets, params)
-
-        return focal
-
-    def ce(logits: Variable, targets: np.ndarray) -> Variable:
-        return cross_entropy(logits, targets)
-
-    return ce
+        return lambda logits, targets: focal_loss(logits, targets, params)
+    return lambda logits, targets: cross_entropy(logits, targets)
 
 
 def _batches(n: int, batch_size: int):
@@ -270,11 +264,6 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
                         val_loss=val_loss, val_acc=val_acc)
 
 
-def build_for_config(config: TrainConfig) -> Model:
-    arch = ArchitectureConfig(config.spec.family, config.input_size, config.num_classes)
-    return build_model(arch, derive_stream(config.seed, "init"))
-
-
 def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
     """Run the configured training protocol and (optionally) write run artifacts."""
     if config.num_classes != bundle.num_classes:
@@ -292,19 +281,20 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
                                 ("test", bundle.test)):
         if not records:
             raise ValueError(f"{split_name} split is empty; cannot run the configured protocol")
+
+    start = time.monotonic()
+    # a rejected checkpoint raises here, before the run directory exists
+    arch = ArchitectureConfig(config.spec.family, config.input_size, config.num_classes)
+    model = build_model(arch, derive_stream(config.seed, "init"))
+    if config.spec.pretrained:
+        load_checkpoint(model, config.checkpoint, allow_head_mismatch=True)
+    if config.freeze:
+        freeze_backbone(model)
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(
             json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    start = time.monotonic()
-    model = build_for_config(config)
-    if config.spec.pretrained:
-        load_checkpoint(model, config.checkpoint, allow_head_mismatch=True)
-    if config.freeze:
-        from .nn import freeze_backbone
-        freeze_backbone(model)
 
     optimizer = Adam()
     loss_fn = make_loss(config)

@@ -1,9 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from xraynet import verification
 from xraynet.checkpoint import save_checkpoint
-from xraynet.cli import main
+from xraynet.cli import build_parser, main
 from xraynet.nn import build_model, mini_resnet
 from xraynet.rng import derive_stream
 from xraynet.training import parse_metrics_csv
@@ -90,6 +93,19 @@ class TestTrain:
     def test_no_data_source_exit2(self, tmp_path):
         assert run("train", "--preset", "RCE", "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--preset", "RCE", "--synthetic", "2", "--manifest", "m.csv",
+         "--images-root", "d"],
+        ["synth", "--per-class", "3", "--counts", "1,1,1,1"],
+    ])
+    def test_conflicting_sources_exit2_and_write_nothing(self, tmp_path, argv):
+        # one of each pair would otherwise be ignored without a word
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path):
         args = ("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",
                 "--epochs", "2", "--batch-size", "4", "--seed", "7")
@@ -112,9 +128,10 @@ class TestTrain:
 
 class TestTransferFlow:
     def test_pretrain_then_transfer_then_eval(self, tmp_path):
-        ckpt = tmp_path / "backbone.xrnc"
-        assert run("pretrain", "--arch", "densenet", "--per-class", "2", "--size", "32",
-                   "--epochs", "1", "--seed", "5", "--out", str(ckpt)) == 0
+        backbone = tmp_path / "backbone"
+        assert run("train", "--preset", "DCE", "--synthetic", "2", "--size", "32",
+                   "--epochs", "1", "--seed", "5", "--out", str(backbone)) == 0
+        ckpt = backbone / "model.xrnc"
         assert ckpt.exists()
         out = tmp_path / "run"
         assert run("train", "--preset", "PDCXCE", "--synthetic", "2", "--size", "32",
@@ -143,8 +160,9 @@ class TestGradcheckCommand:
     def test_losses_scope_passes(self):
         assert run("gradcheck", "--scope", "losses") == 0
 
-    def test_impossible_threshold_fails_nonzero(self, capsys):
-        assert run("gradcheck", "--scope", "losses", "--threshold", "1e-12") == 1
+    def test_impossible_threshold_fails_nonzero(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "F32_THRESHOLD", 1e-12)
+        assert run("gradcheck", "--scope", "losses") == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -164,3 +182,13 @@ class TestExportCurves:
 
     def test_missing_run_dir_exit2(self, tmp_path):
         assert run("export-curves", "--run", str(tmp_path / "void")) == 2
+
+
+def test_readme_cli_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.replace("\\\n", " ").splitlines() if l.startswith("xraynet ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

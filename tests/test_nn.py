@@ -142,6 +142,10 @@ class TestHeadAndFreeze:
         assert logits.shape == (3, 2)
         for name, data in before.items():
             npt.assert_array_equal(model.store.params[name].data, data)
+        # the forward pass reads the tensors the optimizer steps, in checkpoint order
+        assert list(model.store.params)[-2:] == ["head.weight", "head.bias"]
+        assert model.head.weight is model.store.params["head.weight"]
+        assert model.head.bias is model.store.params["head.bias"]
 
     def test_replace_same_size_head_reinitializes(self):
         model = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(17, "init"))

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xraynet.autodiff import Variable
-from xraynet.checkpoint import read_checkpoint, save_checkpoint
+from xraynet.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from xraynet.dataset import DataBundle, SampleRecord
-from xraynet.nn import build_model, mini_resnet
+from xraynet.nn import build_model, mini_densenet, mini_resnet
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
 from xraynet.training import (Adam, EpochMetrics, PRESETS, RunRecord, TrainConfig,
@@ -159,6 +159,12 @@ class TestPresets:
         with pytest.raises(ValueError, match="checkpoint"):
             TrainConfig(preset=preset, checkpoint="backbone.xrnc")
 
+    @pytest.mark.parametrize("preset", [p for p, spec in PRESETS.items() if not spec.pretrained])
+    def test_scratch_preset_rejects_freeze(self, preset):
+        # freezing a random backbone would train only the head over random features
+        with pytest.raises(ValueError, match="frozen"):
+            TrainConfig(preset=preset, freeze=True)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # the streams and the checkpoint both keep a seed mod 2**64, so these
@@ -245,6 +251,14 @@ class TestFit:
         bundle = synthetic_bundle(2, size=32, seed=9)
         with pytest.raises(ValueError, match="px"):
             fit(cfg(seed=9, input_size=16), bundle, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_rejected_checkpoint_leaves_no_run_dir(self, tmp_path):
+        ckpt = tmp_path / "dense.xrnc"
+        save_checkpoint(build_model(mini_densenet(input_size=32), derive_stream(0, "init")), ckpt)
+        bundle = synthetic_bundle(2, size=32, seed=9)
+        with pytest.raises(CheckpointError, match="digest"):
+            fit(cfg(preset="PRCE", seed=9, checkpoint=str(ckpt)), bundle, run_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_run_artifacts_written(self, tmp_path):
