@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, meta = model_from_checkpoint(ckpt)
-    args.size = meta["arch"]["input_size"]
+    args.size = meta["arch"]["input_size"]  # eval has no --size: the checkpoint fixes it
     bundle = _build_bundle(args)
     if bundle.num_classes != model.num_classes:
         raise UsageError(f"checkpoint has {model.num_classes} classes "
@@ -224,7 +224,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="supplementary manifest appended to the dataset (e.g. extra samples)")
     p.add_argument("--extra-images-root",
                    help="image root for supplementary manifest references")
-    p.add_argument("--size", type=int, default=64, help="input resolution (default 64)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=8)
 
@@ -261,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.25, help="focal loss alpha")
     p.add_argument("--freeze", action="store_true", help="freeze the backbone")
     p.add_argument("--no-augment", action="store_true", help="disable flip/rotation augmentation")
+    p.add_argument("--size", type=int, default=64, help="input resolution (default 64)")
     _add_data_flags(p)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_train)

@@ -54,12 +54,31 @@ class Pcg32:
         return low + (high - low) * (self.next_u32() * 2.0**-32)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1)."""
-        out = np.empty(n, dtype=np.float64)
-        nxt = self.next_u32
-        for i in range(n):
-            out[i] = nxt() * 2.0**-32
-        return out
+        """n doubles in [0, 1), bit-identical to n calls of `next_u32() * 2**-32`.
+
+        All n states come at once by LCG jump-ahead (Brown 1994, "Random
+        Number Generation with Arbitrary Strides"; O'Neill 2014, PCG paper
+        §4.3): the affine map of m steps, (A, C), is squared each round in
+        Python ints, and `st[m:2m] = A*st[:m] + C` in uint64, which wraps
+        mod 2**64 as the scalar update does. The generator is left where n
+        `next_u32` calls would leave it.
+        """
+        st = np.empty(n, dtype=np.uint64)
+        if n == 0:
+            return np.empty(0, dtype=np.float64)
+        st[0] = self._state
+        a, c, m = _PCG_MULT, self._inc, 1
+        with np.errstate(over="ignore"):
+            while m < n:
+                k = min(m, n - m)
+                np.add(st[:k] * np.uint64(a), np.uint64(c), out=st[m:m + k])
+                a, c, m = (a * a) & _MASK64, (c * a + c) & _MASK64, 2 * m
+        self._state = (int(st[-1]) * _PCG_MULT + self._inc) & _MASK64
+        x = ((st >> 18) ^ st) >> 27
+        x &= 0xFFFFFFFF
+        rot = st >> 59
+        out = (x >> rot) | ((x << ((32 - rot) & 31)) & 0xFFFFFFFF)
+        return out.astype(np.float64) * 2.0**-32
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         size = int(np.prod(shape)) if shape else 1
@@ -68,8 +87,9 @@ class Pcg32:
 
     def randint_below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randint_below requires n >= 1")
+        if not 1 <= n <= 1 << 32:
+            # above 2**32 the acceptance limit below is 0 and no draw is accepted
+            raise ValueError(f"randint_below requires 1 <= n <= 2**32, got {n}")
         limit = (1 << 32) - ((1 << 32) % n)
         while True:
             u = self.next_u32()

@@ -151,6 +151,14 @@ class TestTransferFlow:
         assert run("eval", "--checkpoint", str(ckpt), *data, "--seed", seed) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_eval_rejects_size_flag(self, tmp_path):
+        # the checkpoint fixes the input size; a --size here could never take effect
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=32), derive_stream(0, "init")), ckpt)
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--checkpoint", str(ckpt), "--synthetic", "2", "--size", "128")
+        assert exc.value.code == 2
+
     def test_eval_missing_checkpoint_exit2(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "nope.xrnc"),
                    "--synthetic", "2") == 2

@@ -1,7 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from xraynet.nn import ArchitectureConfig, build_model
 from xraynet.rng import Pcg32, derive_stream
+from xraynet.synth import synthetic_bundle
 
 
 def test_reference_vector():
@@ -66,6 +70,14 @@ def test_randint_below_bounds_and_coverage():
         g.randint_below(0)
 
 
+def test_randint_below_full_32_bit_range_and_above():
+    g = Pcg32(0)
+    assert 0 <= g.randint_below(2 ** 32) < 2 ** 32
+    # above 2**32 no draw could ever be accepted: this used to loop forever
+    with pytest.raises(ValueError):
+        g.randint_below(2 ** 32 + 1)
+
+
 def test_shuffle_is_permutation():
     g = Pcg32(4, 4)
     seq = list(range(50))
@@ -79,3 +91,87 @@ def test_fixed_seed_bit_identical_tensors():
     a = derive_stream(11, "init").uniform_array((33,), -1, 1).astype(np.float32)
     b = derive_stream(11, "init").uniform_array((33,), -1, 1).astype(np.float32)
     assert np.array_equal(a, b)
+
+
+# --- vectorised uniforms against the scalar generator ----------------------
+
+_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 4095, 4096, 4097)
+_LONG = 100_003  # one doubling round past 2**16, with a ragged last block
+
+_DERIVED = [(seed, tag, index) for seed in (0, 1, 3, 2 ** 63, 2 ** 64 - 1)
+            for tag in ("init", "sampler", "synth.train") for index in (0, 1)]
+_RAW = [(seed, stream) for seed in (0, 1, 42, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1,
+                                    0xDEADBEEFCAFEBABE)
+        for stream in (0, 54, 2 ** 63, 2 ** 64 - 1)]
+
+
+def _check_against_scalar(make, lengths):
+    ref = make()
+    scalar = [ref.next_u32() for _ in range(max(lengths) + 1)]
+    for n in lengths:
+        g = make()
+        u = g.uniforms(n)
+        assert u.dtype == np.float64 and u.shape == (n,)
+        assert np.array_equal(u, np.array(scalar[:n], dtype=np.float64) * 2.0 ** -32), n
+        # the generator must be left exactly where n scalar draws leave it
+        assert g.next_u32() == scalar[n], n
+
+
+@pytest.mark.parametrize("seed,tag,index", _DERIVED)
+def test_uniforms_match_scalar_on_derived_streams(seed, tag, index):
+    long = (_LONG,) if (seed, tag, index) == (0, "init", 0) else ()
+    _check_against_scalar(lambda: derive_stream(seed, tag, index), _LENGTHS + long)
+
+
+@pytest.mark.parametrize("seed,stream", _RAW)
+def test_uniforms_match_scalar_on_raw_streams(seed, stream):
+    long = (_LONG,) if stream == 2 ** 64 - 1 else ()
+    _check_against_scalar(lambda: Pcg32(seed, stream), _LENGTHS + long)
+
+
+def test_uniforms_calls_chain_like_scalar_draws():
+    g, ref = Pcg32(2 ** 64 - 1, 2 ** 64 - 1), Pcg32(2 ** 64 - 1, 2 ** 64 - 1)
+    for n in (5, 0, 33, 1, 4096):
+        expect = np.array([ref.next_u32() for _ in range(n)], dtype=np.float64) * 2.0 ** -32
+        assert np.array_equal(g.uniforms(n), expect)
+    assert g.next_u32() == ref.next_u32()
+
+
+def test_uniforms_edge_lengths():
+    g = Pcg32(7, 7)
+    assert g.uniforms(0).shape == (0,)
+    assert g.next_u32() == Pcg32(7, 7).next_u32()  # uniforms(0) draws nothing
+    with pytest.raises(ValueError):
+        Pcg32(7, 7).uniforms(-1)
+    assert Pcg32(7, 7).uniform_array(()).shape == ()
+    assert Pcg32(7, 7).uniform_array((0,)).shape == (0,)
+
+
+# --- the stream format, pinned ---------------------------------------------
+# Computed with the scalar generator. A change to any draw (generator, key
+# derivation, draw order in synth or init) fails here, not only in
+# run-against-run comparisons.
+
+def test_pinned_first_draws():
+    u = derive_stream(0, "init").uniforms(8)
+    assert (u * 2.0 ** 32).astype(np.int64).tolist() == [
+        2412632179, 2323164870, 28402297, 626180207,
+        569677183, 391801586, 4177880203, 3617588406]
+
+
+def test_pinned_synthetic_bundle_pixels():
+    b = synthetic_bundle((18, 32, 17, 2), size=64, seed=1, test_per_class=(8, 14, 8, 2))
+    crc = 0
+    for r in b.train + b.val + b.test:
+        crc = zlib.crc32(b.images(r.image_ref).pixels.tobytes(), crc)
+    assert (len(b.train), len(b.val), len(b.test)) == (61, 8, 32)
+    assert crc == 0xDD865A9B
+
+
+@pytest.mark.parametrize("family,expected", [("resnet", 0xADE82400), ("densenet", 0x4D5A257D)])
+def test_pinned_initial_weights(family, expected):
+    model = build_model(ArchitectureConfig(family), derive_stream(0, "init"))
+    crc = 0
+    for arr in model.store.state_tensors().values():
+        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+    assert crc == expected
