@@ -251,12 +251,24 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     Output spatial dims follow the floor convention
     H' = (H + 2*padding - kH) // stride + 1 and must be >= 1.
 
-    Forward and gradients are batched GEMMs over the unrolled input
-    (Chellapilla et al. 2006): with `cols` = im2col(x) of shape
-    (N, Cin*kH*kW, H'*W'), out = K2 @ cols and dK = sum_n g_n @ cols_nᵀ,
-    where BLAS reads the transposed view of `cols` without copying it.
-    With stride 1 and padding < min(kH, kW), dx is the full correlation of
-    g with the flipped kernel, channels transposed: an im2col of g padded by
+    The forward and dK take one of two routes, chosen from shapes alone:
+
+    - Thin (stride 1 and Cout < Cin, e.g. the DenseNet growth and transition
+      convs): kn2row shift-and-accumulate (Vasudevan et al. 2017). With xf
+      the padded input flattened over Hp*Wp and s = i*Wp + j,
+      out = sum_ij K[:, :, i, j] @ xf[:, :, s:s+span] lands on a grid of
+      padded width Wp, whose last kW-1 columns per row are dropped, and
+      dK[:, :, i, j] = sum_n g_n @ xf_n[:, s:s+span]ᵀ with g zero-padded to
+      the same grid. No unrolled copy is made; the closure keeps only the
+      padded input.
+    - Otherwise: batched GEMMs over the unrolled input (Chellapilla et al.
+      2006): with `cols` = im2col(x) of shape (N, Cin*kH*kW, H'*W'),
+      out = K2 @ cols and dK = sum_n g_n @ cols_nᵀ, where BLAS reads the
+      transposed view of `cols` without copying it.
+
+    The two routes sum in different float orders. With stride 1 and
+    padding < min(kH, kW), dx is the full correlation of g with the flipped
+    kernel, channels transposed: an im2col of g padded by
     (kH-1-padding, kW-1-padding), which has only Cout channels, times
     flip(K)ᵀ. Other convs map K2ᵀ @ g back to the input with a col2im
     scatter. db sums g over batch and space.
@@ -284,12 +296,35 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
         xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = xd
-    cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*kh*kw, oh*ow)
-    k2 = kd.reshape(cout, -1)
-    out = np.matmul(k2, cols) + bd[None, :, None]          # (N, Cout, oh*ow)
-    out = out.reshape(n, cout, oh, ow)
-
     hp, wp = xp.shape[2], xp.shape[3]
+    k2 = kd.reshape(cout, -1)
+    if stride == 1 and cout < cin:
+        xf = xp.reshape(n, cin, hp * wp)
+        span = oh * wp - (kw - 1)  # the last grid row ends at its last kept column
+        shifts = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+        taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
+        grid = np.zeros((n, cout, oh * wp), dtype=xd.dtype)
+        for i, j, s in shifts:
+            grid[:, :, :span] += np.matmul(taps[i, j], xf[:, :, s:s + span])
+        out = grid.reshape(n, cout, oh, wp)[:, :, :, :ow] + bd[None, :, None, None]
+
+        def vjp_k(g: np.ndarray) -> np.ndarray:
+            gg = np.zeros((n, cout, oh, wp), dtype=xd.dtype)
+            gg[:, :, :, :ow] = g
+            # (Cin, span) @ (span, Cout) runs faster in BLAS than its transpose
+            ggt = gg.reshape(n, cout, oh * wp)[:, :, :span].transpose(0, 2, 1)
+            dk = np.empty_like(kd)
+            for i, j, s in shifts:
+                dk[:, :, i, j] = np.matmul(xf[:, :, s:s + span], ggt).sum(axis=0).T
+            return dk
+    else:
+        cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*kh*kw, oh*ow)
+        out = np.matmul(k2, cols) + bd[None, :, None]          # (N, Cout, oh*ow)
+        out = out.reshape(n, cout, oh, ow)
+
+        def vjp_k(g: np.ndarray) -> np.ndarray:
+            g2 = g.reshape(n, cout, oh * ow)
+            return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
 
     def vjp_x_full(g: np.ndarray) -> np.ndarray:
         qh, qw = kh - 1 - padding, kw - 1 - padding
@@ -307,10 +342,6 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
         if padding:
             return gxp[:, :, padding:hp - padding, padding:wp - padding]
         return gxp
-
-    def vjp_k(g: np.ndarray) -> np.ndarray:
-        g2 = g.reshape(n, cout, oh * ow)
-        return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
 
     def vjp_b(g: np.ndarray) -> np.ndarray:
         return g.sum(axis=(0, 2, 3))

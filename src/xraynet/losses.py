@@ -33,10 +33,10 @@ class FocalParams:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
-        if np.any(a <= 0) or np.any(a > 1):
+        if not np.all((a > 0) & (a <= 1)):  # NaN fails both comparisons
             raise ValueError(f"alpha entries must lie in (0, 1], got {self.alpha}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
 
     def alpha_vector(self, num_classes: int) -> np.ndarray:
         a = np.asarray(self.alpha, dtype=np.float64)

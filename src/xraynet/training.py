@@ -88,8 +88,8 @@ class TrainConfig:
         self.preset = canonical_preset(self.preset)
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:

@@ -73,6 +73,14 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     projs = _positive(rs, (1, 2, 5, 4), dtype)
     check("conv2d_stride1", lambda: ad.sum_axes(ad.bmul(
         ad.conv2d(xs, ks, bs, stride=1, padding=1), ad.constant(projs))), [xs, ks, bs])
+    # stride 1 with Cout < Cin takes the shift-and-accumulate forward and dK
+    rt = derive_stream(OPS_SEED, "gradcheck.ops.conv2d_thin")
+    xt = Variable(_positive(rt, (1, 3, 5, 4), dtype), requires_grad=True)
+    kt = Variable(_positive(rt, (2, 3, 3, 2), dtype), requires_grad=True)
+    bt = Variable(_positive(rt, (2,), dtype), requires_grad=True)
+    projt = _positive(rt, (1, 2, 5, 5), dtype)
+    check("conv2d_thin", lambda: ad.sum_axes(ad.bmul(
+        ad.conv2d(xt, kt, bt, stride=1, padding=1), ad.constant(projt))), [xt, kt, bt])
 
     # modest spread plus positive projection keeps the centered bn gradients
     # clear of the noise floor

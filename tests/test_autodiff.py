@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -85,6 +87,7 @@ class TestConv2d:
         ((2, 4, 16, 16), 2, 3, 2, 1),
         ((1, 2, 9, 9), 4, 2, 2, 0),
         ((2, 3, 8, 8), 1, 1, 2, 0),
+        ((2, 5, 7, 6), 2, 1, 1, 0),
     ])
     def test_matches_loop_oracle_exactly_on_integer_tensors(self, shape, cout, kk, stride, padding):
         # integer-valued tensors make every summation order exact in float,
@@ -104,19 +107,47 @@ class TestConv2d:
         # stride 1 with padding < min(kh, kw) takes the transposed-conv dx,
         # every other case (k=1 p>=1, k=2 p=2, all stride 2) the col2im one;
         # integer values keep every sum exact in any order
+        rng = Pcg32(stride * 100 + padding * 10 + kshape[0], kshape[1] * 10 + hw[0])
+        self._check_gradients(rng, 3, 4, stride, padding, kshape, hw)
+
+    @pytest.mark.parametrize("hw", [(9, 8), (7, 7)])
+    @pytest.mark.parametrize("kshape", [(1, 1), (2, 2), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_thin_gradients_match_loop_oracle_exactly_on_integer_tensors(self, padding, kshape, hw):
+        # stride 1 with Cout < Cin takes the shift-and-accumulate forward and dK
+        rng = Pcg32(500 + padding * 10 + kshape[0], kshape[1] * 10 + hw[0])
+        self._check_gradients(rng, 5, 2, 1, padding, kshape, hw)
+
+    @staticmethod
+    def _check_gradients(rng, cin, cout, stride, padding, kshape, hw):
         kh, kw = kshape
-        rng = Pcg32(stride * 100 + padding * 10 + kh, kw * 10 + hw[0])
-        x = np.floor(rng.uniform_array((2, 3, *hw), -4, 5)).astype(np.float32)
-        k = np.floor(rng.uniform_array((4, 3, kh, kw), -4, 5)).astype(np.float32)
-        b = np.floor(rng.uniform_array((4,), -4, 5)).astype(np.float32)
+        x = np.floor(rng.uniform_array((2, cin, *hw), -4, 5)).astype(np.float32)
+        k = np.floor(rng.uniform_array((cout, cin, kh, kw), -4, 5)).astype(np.float32)
+        b = np.floor(rng.uniform_array((cout,), -4, 5)).astype(np.float32)
         xv, kv, bv = (Variable(a, requires_grad=True) for a in (x, k, b))
         out = ad.conv2d(xv, kv, bv, stride=stride, padding=padding)
+        npt.assert_array_equal(out.data, reference_conv2d(x, k, b, stride, padding).astype(np.float32))
         g = np.floor(rng.uniform_array(out.shape, -4, 5)).astype(np.float32)
         backward(ad.sum_axes(ad.bmul(out, ad.constant(g))))  # upstream gradient g
         dx, dk = reference_conv2d_vjp(x, k, g, stride, padding)
         for v, want in ((xv, dx), (kv, dk), (bv, g.sum(axis=(0, 2, 3)))):
             assert v.grad.dtype == np.float32
             npt.assert_array_equal(v.grad, want.astype(np.float32))
+
+    def test_thin_forward_allocates_no_unrolled_input(self):
+        # a dense1.layer3-shaped conv: im2col would copy the input k² = 9 times
+        rng = Pcg32(40, 3)
+        x = Variable(rng.uniform_array((8, 40, 64, 64), -1, 1).astype(np.float32), requires_grad=True)
+        k = Variable(rng.uniform_array((8, 40, 3, 3), -1, 1).astype(np.float32), requires_grad=True)
+        b = Variable(np.zeros(8, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, k, b, stride=1, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input"
+        assert out.shape == (8, 8, 64, 64)
 
     def test_matches_loop_oracle_on_float_tensors(self):
         rng = Pcg32(99, 1)

@@ -82,6 +82,20 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("preset,flag,value,named", [
+        ("RCE", "--lr", "nan", "base_lr"), ("RCE", "--lr", "inf", "base_lr"),
+        ("RFL", "--gamma", "nan", "gamma"), ("RFL", "--gamma", "inf", "gamma"),
+        ("RFL", "--alpha", "nan", "alpha"),
+    ])
+    def test_non_finite_setting_exit2_and_writes_nothing(self, tmp_path, capsys,
+                                                         preset, flag, value, named):
+        # left unchecked these fail only after training starts, with a run directory written
+        out = tmp_path / "r"
+        assert run("train", "--preset", preset, flag, value, "--synthetic", "2", "--size", "16",
+                   "--epochs", "2", "--batch-size", "4", "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
     def test_synth_seed_outside_64_bits_exit2_and_writes_nothing(self, tmp_path, capsys, seed):
         out = tmp_path / "data"

@@ -206,6 +206,16 @@ class TestFocalLoss:
             FocalParams(gamma=-0.1)
         FocalParams(alpha=1.0, gamma=0.0)  # the CE-reduction case must construct
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"gamma": float("nan")}, "gamma"),
+        ({"gamma": float("inf")}, "gamma"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": [0.2, float("nan"), 0.3]}, "alpha"),
+    ])
+    def test_non_finite_params_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            FocalParams(**kwargs)
+
     def test_gradient_matches_fd(self):
         rng = Pcg32(5, 0)
         logits = Variable(rng.uniform_array((3, 4), -1, 1).astype(np.float32), requires_grad=True)

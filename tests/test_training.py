@@ -153,6 +153,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             TrainConfig(preset="RCE", num_classes=1)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        # NaN <= 0 is False, and an infinite rate makes every Adam update non-finite
+        with pytest.raises(ValueError, match="base_lr"):
+            TrainConfig(preset="RCE", base_lr=lr)
+
     @pytest.mark.parametrize("preset", [p for p, spec in PRESETS.items() if not spec.pretrained])
     def test_scratch_preset_rejects_checkpoint(self, preset):
         # a scratch preset never loads one, so the run would silently ignore it
