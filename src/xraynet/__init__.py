@@ -11,7 +11,7 @@ from .dataset import (ClassLabel, DataBundle, ManifestConfig, SampleRecord, bina
                       stratified_val_split, weighted_sample)
 from .images import (GrayImage, augment, hflip, intensity_histogram, load_image, read_pgm,
                      resize_bilinear, rotate, to_unit_float, vflip, write_pgm)
-from .losses import FocalParams, cross_entropy, focal_loss
+from .losses import cross_entropy, focal_loss
 from .metrics import accuracy, confusion, epoch_average_accuracy, predictions
 from .nn import (ArchitectureConfig, Model, ParameterStore, build_model, freeze_backbone,
                  mini_densenet, mini_resnet, replace_head)

@@ -159,26 +159,24 @@ def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
     ])
 
 
-def _pool_windows(xd: np.ndarray, k: int, stride: int) -> np.ndarray:
+def _pool_windows(xd: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping k x k windows (stride k) as an (N, C, H//k, W//k, k, k) view."""
     n, c, h, w = xd.shape
-    oh = (h - k) // stride + 1
-    ow = (w - k) // stride + 1
     s0, s1, s2, s3 = xd.strides
     return np.lib.stride_tricks.as_strided(
-        xd, shape=(n, c, oh, ow, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3))
+        xd, shape=(n, c, h // k, w // k, k, k),
+        strides=(s0, s1, s2 * k, s3 * k, s2, s3))
 
 
-def max_pool2d(x: Variable, kernel: int = 2, stride: int | None = None) -> Variable:
-    """Max pooling; on ties the gradient routes to the lowest flat index in the window."""
-    stride = kernel if stride is None else stride
+def max_pool2d(x: Variable, kernel: int = 2) -> Variable:
+    """Max pooling, stride = kernel; on ties the gradient routes to the window's first max."""
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"max_pool2d: expected NCHW input, got shape {xd.shape}")
     n, c, h, w = xd.shape
     if h < kernel or w < kernel:
         raise ValueError(f"max_pool2d: window {kernel} exceeds input {h}x{w}")
-    win = _pool_windows(xd, kernel, stride)
+    win = _pool_windows(xd, kernel)
     oh, ow = win.shape[2], win.shape[3]
     flat = win.reshape(n, c, oh, ow, kernel * kernel)
     amax = flat.argmax(axis=-1)  # first maximum wins ties
@@ -189,21 +187,21 @@ def max_pool2d(x: Variable, kernel: int = 2, stride: int | None = None) -> Varia
         for i in range(kernel):
             for j in range(kernel):
                 sel = (amax == i * kernel + j)
-                gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g * sel
+                gx[:, :, i:i + kernel * oh:kernel, j:j + kernel * ow:kernel] += g * sel
         return gx
 
     return _op(out, [(x, vjp)])
 
 
-def avg_pool2d(x: Variable, kernel: int = 2, stride: int | None = None) -> Variable:
-    stride = kernel if stride is None else stride
+def avg_pool2d(x: Variable, kernel: int = 2) -> Variable:
+    """Average pooling, stride = kernel."""
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"avg_pool2d: expected NCHW input, got shape {xd.shape}")
     n, c, h, w = xd.shape
     if h < kernel or w < kernel:
         raise ValueError(f"avg_pool2d: window {kernel} exceeds input {h}x{w}")
-    win = _pool_windows(xd, kernel, stride)
+    win = _pool_windows(xd, kernel)
     oh, ow = win.shape[2], win.shape[3]
     out = win.mean(axis=(4, 5))
     scale = 1.0 / (kernel * kernel)
@@ -213,7 +211,7 @@ def avg_pool2d(x: Variable, kernel: int = 2, stride: int | None = None) -> Varia
         gs = (g * scale).astype(xd.dtype, copy=False)
         for i in range(kernel):
             for j in range(kernel):
-                gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gs
+                gx[:, :, i:i + kernel * oh:kernel, j:j + kernel * ow:kernel] += gs
         return gx
 
     return _op(out, [(x, vjp)])

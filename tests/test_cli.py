@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -85,7 +87,6 @@ class TestTrain:
     @pytest.mark.parametrize("preset,flag,value,named", [
         ("RCE", "--lr", "nan", "base_lr"), ("RCE", "--lr", "inf", "base_lr"),
         ("RFL", "--gamma", "nan", "gamma"), ("RFL", "--gamma", "inf", "gamma"),
-        ("RFL", "--alpha", "nan", "alpha"),
     ])
     def test_non_finite_setting_exit2_and_writes_nothing(self, tmp_path, capsys,
                                                          preset, flag, value, named):
@@ -94,6 +95,15 @@ class TestTrain:
         assert run("train", "--preset", preset, flag, value, "--synthetic", "2", "--size", "16",
                    "--epochs", "2", "--batch-size", "4", "--out", str(out)) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_is_not_an_option(self, tmp_path):
+        # focal alpha is the constant losses.FOCAL_ALPHA
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--preset", "RFL", "--alpha", "0.5", "--synthetic", "2",
+                "--out", str(out))
+        assert exc.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
@@ -109,16 +119,31 @@ class TestTrain:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--preset", "RCE", "--synthetic", "2", "--manifest", "m.csv",
-         "--images-root", "d"],
-        ["synth", "--per-class", "3", "--counts", "1,1,1,1"],
+         "--images-root", "d", "--out", "{out}"],
+        ["synth", "--per-class", "3", "--counts", "1,1,1,1", "--out", "{out}"],
+        # the synthetic source ignores every manifest flag
+        ["train", "--preset", "RCE", "--synthetic", "2", "--size", "16", "--epochs", "1",
+         "--batch-size", "4", "--extra-manifest", "/nonexistent.csv",
+         "--extra-images-root", "/nowhere", "--mapping", "/nomap.json",
+         "--images-root", "/noroot", "--out", "{out}"],
+        ["eval", "--checkpoint", "{ckpt}", "--synthetic", "2", "--mapping", "/nomap.json"],
+        # an image root for a supplementary manifest that is not there
+        ["train", "--preset", "RCE", "--manifest", "{data}/manifest.csv",
+         "--images-root", "{data}", "--extra-images-root", "{data}", "--size", "32",
+         "--epochs", "1", "--batch-size", "4", "--out", "{out}"],
     ])
-    def test_conflicting_sources_exit2_and_write_nothing(self, tmp_path, argv):
+    def test_conflicting_sources_exit2_and_write_nothing(self, synth_dir, tmp_path, argv):
         # one of each pair would otherwise be ignored without a word
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            run(*argv, "--out", str(out))
-        assert exc.value.code == 2
-        assert not out.exists()
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=16), derive_stream(0, "init")), ckpt)
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(out=tmp_path / "o", ckpt=ckpt, data=synth_dir) for a in argv]
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # rejected by the parser
+            code = exc.code
+        assert code == 2
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path):
         args = ("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",
@@ -206,11 +231,22 @@ class TestExportCurves:
         assert run("export-curves", "--run", str(tmp_path / "void")) == 2
 
 
+def _subcommand_options() -> set[str]:
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subparsers.choices.values()
+            for action in sub._actions for opt in action.option_strings}
+
+
 def test_readme_cli_examples_parse():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    cli_text = text.split("## CLI", 1)[1]
+    block = cli_text.split("```sh", 1)[1].split("```", 1)[0]
     lines = [l for l in block.replace("\\\n", " ").splitlines() if l.startswith("xraynet ")]
     assert len(lines) >= 10
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+    # every option the prose names must exist on some subcommand
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cli_text))
+    assert named - _subcommand_options() == set()

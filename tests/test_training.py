@@ -159,6 +159,14 @@ class TestPresets:
         with pytest.raises(ValueError, match="base_lr"):
             TrainConfig(preset="RCE", base_lr=lr)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
+    def test_bad_focal_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            TrainConfig(preset="RFL", focal_gamma=gamma)
+
+    def test_focal_gamma_zero_accepted(self):
+        assert TrainConfig(preset="RFL", focal_gamma=0.0).focal_gamma == 0.0
+
     @pytest.mark.parametrize("preset", [p for p, spec in PRESETS.items() if not spec.pretrained])
     def test_scratch_preset_rejects_checkpoint(self, preset):
         # a scratch preset never loads one, so the run would silently ignore it
