@@ -7,9 +7,10 @@ Wire format (little-endian throughout):
                 prod(dims) x f32 values |
     trailing u32 CRC32 of all preceding bytes
 
-Run metadata (epoch, seed, architecture fingerprint) rides inside the same
-format as reserved ``meta.*`` tensors, so a checkpoint stays a single
-self-describing file. Model state round-trips bit-exactly.
+Run metadata (epoch, seed, and the architecture: family, input channels,
+input size, class count) rides inside the same format as reserved ``meta.*``
+tensors, so a checkpoint stays a single self-describing file. Model state
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import HEAD_PREFIX, ArchitectureConfig, Model
+from .nn import FAMILIES, HEAD_PREFIX, ArchitectureConfig, Model
 from .rng import Pcg32
 
 MAGIC = b"XRNC"
 VERSION = 1
 META_PREFIX = "meta."
-
-_FAMILY_CODES = {"resnet": 0.0, "densenet": 1.0}
-_FAMILY_NAMES = {0: "resnet", 1: "densenet"}
 
 
 class CheckpointError(ValueError):
@@ -51,12 +49,10 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 def _meta_tensors(model: Model, epoch: int, seed: int) -> dict[str, np.ndarray]:
     cfg = model.config
-    digest = cfg.backbone_digest()
     return {
         # the 1 is the input channel count, which every Mini backbone fixes
-        "meta.arch": np.array([_FAMILY_CODES[cfg.family], 1,
+        "meta.arch": np.array([FAMILIES.index(cfg.family), 1,
                                cfg.input_size, model.num_classes], dtype=np.float32),
-        "meta.digest": np.array([(digest >> (8 * i)) & 0xFF for i in range(4)], dtype=np.float32),
         "meta.epoch": np.array([epoch], dtype=np.float32),
         "meta.seed": np.array([(seed >> (16 * i)) & 0xFFFF for i in range(4)], dtype=np.float32),
     }
@@ -131,13 +127,11 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if "meta.seed" in tensors:
         limbs = tensors["meta.seed"].astype(np.int64)
         meta["seed"] = int(sum(int(limbs[i]) << (16 * i) for i in range(4)))
-    if "meta.digest" in tensors:
-        b = tensors["meta.digest"].astype(np.int64)
-        meta["digest"] = int(sum(int(b[i]) << (8 * i) for i in range(4)))
     if "meta.arch" in tensors:
         a = tensors["meta.arch"]
+        code = int(a[0])
         meta["arch"] = {
-            "family": _FAMILY_NAMES.get(int(a[0]), "unknown"),
+            "family": FAMILIES[code] if 0 <= code < len(FAMILIES) else "unknown",
             "input_channels": int(a[1]),
             "input_size": int(a[2]),
             "num_classes": int(a[3]),
@@ -148,17 +142,18 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> dict:
     """Load a checkpoint into `model`, returning its metadata.
 
-    Every tensor must match the model by name and shape; all are checked
-    before any is copied, so a rejected file leaves the model untouched. With
+    The family that `meta.arch` records must be the model's, and every tensor
+    must match the model by name and shape; all are checked before any is
+    copied, so a rejected file leaves the model untouched. With
     `allow_head_mismatch`, classifier-head tensors that are missing or
     differently shaped are skipped (the model keeps its current head).
     """
     state, meta = read_checkpoint(path)
-    digest = meta.get("digest")
-    if digest is not None and digest != model.config.backbone_digest():
+    family = meta.get("arch", {}).get("family", model.config.family)
+    if family != model.config.family:
         raise CheckpointError(
-            f"{path}: checkpoint backbone does not match the target model "
-            f"(digest {digest:#010x} vs {model.config.backbone_digest():#010x})")
+            f"{path}: checkpoint holds a {family} backbone, the target model is a "
+            f"{model.config.family}")
 
     targets = model.store.state_tensors()
     extra = sorted(set(state) - set(targets))
@@ -187,7 +182,7 @@ def model_from_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a Mini-preset model described by a checkpoint's metadata and load it."""
     _, meta = read_checkpoint(path)
     arch = meta.get("arch")
-    if not arch or arch["family"] not in ("resnet", "densenet"):
+    if not arch or arch["family"] not in FAMILIES:
         raise CheckpointError(f"{path}: checkpoint carries no usable architecture metadata")
     config = ArchitectureConfig(arch["family"], arch["input_size"], arch["num_classes"])
     model = Model(config, Pcg32(0, 0))

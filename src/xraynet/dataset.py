@@ -263,9 +263,11 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
     """Bundle a manifest (plus an optional supplementary manifest, e.g. extra
     minority-class samples) into train/val/test splits by `split_bundle`.
 
-    Supplementary records keep their own split tags; their image references
-    resolve against `extra_images_root` when given, falling back to the main
-    root for references the main directory does not hold.
+    Supplementary records keep their own split tags. Every image reference
+    resolves against the main root, and against `extra_images_root` (when
+    given) for references the main directory does not hold. Each record the
+    bundle keeps must resolve to an existing file, so a missing image fails
+    here, before any training starts.
     """
     mapping = mapping or default_mapping()
     result = parse_manifest(Path(manifest_path).read_bytes(), mapping)
@@ -277,13 +279,19 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
         records.extend(extra.records)
         extra_root = Path(extra_images_root) if extra_images_root else None
 
-    def load(ref: str) -> GrayImage:
+    def resolve(ref: str) -> Path:
         main = root / ref
         if extra_root is not None and not main.exists():
-            return load_image(extra_root / ref)
-        return load_image(main)
+            return extra_root / ref
+        return main
 
-    return split_bundle(records, load, input_size, seed, binary)
+    bundle = split_bundle(records, lambda ref: load_image(resolve(ref)), input_size, seed, binary)
+    missing = [r.image_ref for r in bundle.train + bundle.val + bundle.test
+               if not resolve(r.image_ref).is_file()]
+    if missing:
+        raise FileNotFoundError(
+            f"{len(missing)} manifest image(s) not found, first: {resolve(missing[0])}")
+    return bundle
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

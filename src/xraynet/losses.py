@@ -2,11 +2,12 @@
 
 Both take raw logits through the max-shifted log-softmax, so confident
 samples cannot underflow the log, and average over the batch. Targets are
-strictly one-hot rows. Each loss is one graph node whose single edge to the
-logits z has a closed-form gradient. With p = softmax(z) and one-hot t:
-cross-entropy gives dz = (p - t)/n; the focal loss (Lin et al. 2017,
-arXiv:1708.02002) gives dz = D*(t - p)/n,
-D = -FOCAL_ALPHA*[(1-p_t)^g - g*p_t*(1-p_t)^(g-1)*log p_t].
+strictly one-hot rows. Both are one graph node, the focal loss (Lin et al.
+2017, arXiv:1708.02002), whose single edge to the logits z has a closed-form
+gradient: with p = softmax(z) and one-hot t, dz = D*(t - p)/n,
+D = -alpha*[(1-p_t)^g - g*p_t*(1-p_t)^(g-1)*log p_t]. Focal loss takes
+alpha = FOCAL_ALPHA; cross-entropy is the same node at g = 0 and alpha = 1,
+where D = -1 and dz = (p - t)/n.
 """
 
 from __future__ import annotations
@@ -38,16 +39,9 @@ def _check_targets(logits: Variable, targets: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: Variable, targets: np.ndarray) -> Variable:
-    """Mean over the batch of -log softmax(logits)_c for each true class c."""
-    t = _check_targets(logits, targets)
-    n = logits.data.shape[0]
-    lsm = ad._log_softmax(logits.data)
-    out = -(lsm * t).sum(axis=1).mean()
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g * (np.exp(lsm) - t) / n
-
-    return ad._op(out, [(logits, vjp)])
+    """Mean over the batch of -log softmax(logits)_c for each true class c:
+    the focal loss at gamma = 0 and unit alpha."""
+    return _focal(logits, targets, 0.0, 1.0)
 
 
 def focal_loss(logits: Variable, targets: np.ndarray, gamma: float = 2.0) -> Variable:
@@ -56,6 +50,10 @@ def focal_loss(logits: Variable, targets: np.ndarray, gamma: float = 2.0) -> Var
     p_t is the softmax probability of each sample's true class; well
     classified samples (p_t -> 1) contribute vanishing loss and gradient.
     """
+    return _focal(logits, targets, gamma, FOCAL_ALPHA)
+
+
+def _focal(logits: Variable, targets: np.ndarray, gamma: float, alpha: float) -> Variable:
     t = _check_targets(logits, targets)
     n = logits.data.shape[0]
     lsm = ad._log_softmax(logits.data)
@@ -63,14 +61,14 @@ def focal_loss(logits: Variable, targets: np.ndarray, gamma: float = 2.0) -> Var
     pt = np.exp(log_pt)
     base = np.ones(n, dtype=logits.dtype) - pt
     focus = base ** logits.dtype.type(gamma)
-    out = -(FOCAL_ALPHA * focus * log_pt).mean()
+    out = -(alpha * focus * log_pt).mean()
 
     def vjp(g: np.ndarray) -> np.ndarray:
         # d focus / d base; at base == 0 it is 1 if gamma == 1, else 0 (never inf)
         nonzero = base != 0
         slope = np.where(nonzero, gamma * np.where(nonzero, base, 1) ** (gamma - 1.0),
                          float(gamma == 1))
-        d = -FOCAL_ALPHA * (focus - slope * pt * log_pt)
+        d = -alpha * (focus - slope * pt * log_pt)
         return (g * d[:, None] * (t - np.exp(lsm)) / n).astype(logits.dtype, copy=False)
 
     return ad._op(out, [(logits, vjp)])

@@ -4,6 +4,12 @@ The two Mini backbones have fixed topologies (the module constants below), as
 the paper's ResNet50 and DenseNet-121 do; an `ArchitectureConfig` picks only
 the family, the input size and the class count.
 
+A `Model` is a stem conv, then `body`, one list of blocks that each take
+``(h, train, update_stats)``, then global average pooling and the head. The
+MiniResNet body is the stem's batch norm + relu (`BnRelu`) and six
+`ResidualBlock`s; the MiniDenseNet body is three `DenseBlock`s joined by two
+`Transition`s, closed by a final `BnRelu`.
+
 Models register every trainable tensor in a `ParameterStore` under a
 hierarchical name (e.g. ``stage1.block0.conv1.kernel``); batch-norm running
 statistics live in the store as non-trainable buffers. The classifier head
@@ -23,6 +29,7 @@ from .autodiff import Variable
 from .rng import Pcg32
 
 HEAD_PREFIX = "head."
+FAMILIES = ("resnet", "densenet")  # a checkpoint records the family by its index
 
 
 # the fixed Mini topologies (single-channel input): resnet stages of
@@ -44,20 +51,10 @@ class ArchitectureConfig:
     num_classes: int = 4
 
     def __post_init__(self):
-        if self.family not in ("resnet", "densenet"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown architecture family {self.family!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-
-    def backbone_digest(self) -> int:
-        """CRC32 of the backbone topology (head size excluded so that
-        checkpoints transfer across class counts)."""
-        import zlib
-        if self.family == "resnet":
-            desc = "resnet/stem=16/in=1/blocks=(2, 2, 2)/channels=(16, 32, 64)"
-        else:
-            desc = "densenet/stem=16/in=1/layers=(4, 4, 4)/growth=8"
-        return zlib.crc32(desc.encode("utf-8"))
 
 
 def mini_resnet(num_classes: int = 4, input_size: int = 64) -> ArchitectureConfig:
@@ -144,6 +141,16 @@ class Linear:
         return ad.linear(x, self.weight, self.bias)
 
 
+class BnRelu:
+    """Batch norm then relu, as a body block (registered under `name`)."""
+
+    def __init__(self, store: ParameterStore, name: str, c: int, dtype):
+        self.bn = BatchNorm2d(store, name, c, dtype)
+
+    def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
+        return ad.relu(self.bn(x, train, update_stats))
+
+
 class ResidualBlock:
     """conv-bn-relu-conv-bn plus a skip path, relu on the sum.
 
@@ -211,57 +218,44 @@ class Transition:
 
 
 class Model:
-    """A built backbone + head with its ParameterStore."""
+    """A built backbone + head with its ParameterStore: the stem conv, then
+    each block of `body` in turn, then global average pooling and the head."""
 
     def __init__(self, config: ArchitectureConfig, rng: Pcg32, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.store = ParameterStore()
         self.num_classes = config.num_classes
-        size = config.input_size
+        store, dtype, size, c = self.store, self.dtype, config.input_size, STEM_CHANNELS
 
-        # resnet stem: conv-bn-relu; densenet stem: bare conv, since the first
-        # dense layer pre-activates (a stem bn's gamma would be scale-dead)
-        self.stem_conv = Conv2d(self.store, "stem.conv", 1, STEM_CHANNELS, 3, 1, 1, rng, self.dtype)
+        self.stem_conv = Conv2d(store, "stem.conv", 1, c, 3, 1, 1, rng, dtype)
         if config.family == "resnet":
-            self.stem_bn = BatchNorm2d(self.store, "stem.bn", STEM_CHANNELS, self.dtype)
-        else:
-            self.stem_bn = None
-
-        if config.family == "resnet":
-            self.stages: list[list[ResidualBlock]] = []
-            cin = STEM_CHANNELS
-            for si, (nblocks, cout) in enumerate(RESNET_STAGES):
+            self.body = [BnRelu(store, "stem.bn", c, dtype)]
+            for si, (nblocks, cout) in enumerate(RESNET_STAGES, start=1):
                 size = (size - 1) // 2 + 1  # stride-2 stage entry, 3x3 pad 1
                 if size < 1:
-                    raise ValueError(f"feature map collapses below 1x1 entering stage{si + 1}")
-                blocks = [ResidualBlock(self.store, f"stage{si + 1}.block0", cin, cout, 2, rng, self.dtype)]
-                for bi in range(1, nblocks):
-                    blocks.append(ResidualBlock(self.store, f"stage{si + 1}.block{bi}",
-                                                cout, cout, 1, rng, self.dtype))
-                self.stages.append(blocks)
-                cin = cout
-            feat = cin
+                    raise ValueError(f"feature map collapses below 1x1 entering stage{si}")
+                for bi in range(nblocks):
+                    self.body.append(ResidualBlock(store, f"stage{si}.block{bi}", c, cout,
+                                                   1 if bi else 2, rng, dtype))
+                    c = cout
         else:
-            self.blocks: list[DenseBlock] = []
-            self.transitions: list[Transition] = []
-            c = STEM_CHANNELS
-            for bi, nlayers in enumerate(DENSE_LAYERS):
-                block = DenseBlock(self.store, f"dense{bi + 1}", c, nlayers, GROWTH, rng, self.dtype)
-                self.blocks.append(block)
-                c = block.out_channels
-                if bi < len(DENSE_LAYERS) - 1:
-                    tr = Transition(self.store, f"transition{bi + 1}", c, rng, self.dtype)
-                    self.transitions.append(tr)
-                    c = tr.out_channels
+            # bare conv stem, since the first dense layer pre-activates (a stem
+            # bn's gamma would be scale-dead)
+            self.body = []
+            for bi, nlayers in enumerate(DENSE_LAYERS, start=1):
+                self.body.append(DenseBlock(store, f"dense{bi}", c, nlayers, GROWTH, rng, dtype))
+                c = self.body[-1].out_channels
+                if bi < len(DENSE_LAYERS):
+                    self.body.append(Transition(store, f"transition{bi}", c, rng, dtype))
+                    c = self.body[-1].out_channels
                     size = size // 2
                     if size < 1:
-                        raise ValueError(f"feature map collapses below 1x1 after transition{bi + 1}")
-            self.final_bn = BatchNorm2d(self.store, "final.bn", c, self.dtype)
-            feat = c
+                        raise ValueError(f"feature map collapses below 1x1 after transition{bi}")
+            self.body.append(BnRelu(store, "final.bn", c, dtype))
 
-        self.feature_dim = feat
-        self.head = Linear(self.store, "head", feat, config.num_classes, rng, self.dtype)
+        self.feature_dim = c
+        self.head = Linear(store, "head", c, config.num_classes, rng, dtype)
 
     def forward(self, x, train: bool = False, update_stats: bool | None = None) -> Variable:
         """Logits for a batch. `x` is an (N, C, H, W) array or Variable."""
@@ -269,18 +263,9 @@ class Model:
             update_stats = train
         if not isinstance(x, Variable):
             x = Variable(np.asarray(x, dtype=self.dtype))
-        if self.config.family == "resnet":
-            h = ad.relu(self.stem_bn(self.stem_conv(x), train, update_stats))
-            for blocks in self.stages:
-                for block in blocks:
-                    h = block(h, train, update_stats)
-        else:
-            h = self.stem_conv(x)
-            for bi, block in enumerate(self.blocks):
-                h = block(h, train, update_stats)
-                if bi < len(self.transitions):
-                    h = self.transitions[bi](h, train, update_stats)
-            h = ad.relu(self.final_bn(h, train, update_stats))
+        h = self.stem_conv(x)
+        for block in self.body:
+            h = block(h, train, update_stats)
         return self.head(ad.global_avg_pool(h))
 
     def trainable_params(self) -> dict[str, Variable]:

@@ -12,6 +12,13 @@ from xraynet.nn import build_model, mini_densenet, mini_resnet, replace_head
 from xraynet.rng import derive_stream
 
 
+def _write_raw(path, tensors):
+    """A checkpoint file holding exactly `tensors`, in order."""
+    blob = b"".join([MAGIC, struct.pack("<II", VERSION, len(tensors))]
+                    + [_pack_tensor(n, a) for n, a in tensors.items()])
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
 @pytest.fixture
 def resnet_model():
     return build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(1, "init"))
@@ -95,25 +102,46 @@ def test_head_mismatch_skips_head_when_allowed(tmp_path, resnet_model):
     assert two_class.num_classes == 2
 
 
-def test_family_mismatch_rejected_via_digest(tmp_path, resnet_model):
+def test_family_mismatch_rejected_before_any_copy(tmp_path, resnet_model):
     path = tmp_path / "model.xrnc"
     save_checkpoint(resnet_model, path)
     dense = build_model(mini_densenet(num_classes=4, input_size=32), derive_stream(3, "init"))
-    with pytest.raises(CheckpointError, match="backbone"):
+    before = {n: a.copy() for n, a in dense.store.state_tensors().items()}
+    with pytest.raises(CheckpointError, match="holds a resnet backbone"):
         load_checkpoint(dense, path)
+    for name, arr in dense.store.state_tensors().items():
+        npt.assert_array_equal(arr, before[name])
 
 
-def test_files_of_earlier_versions_stay_loadable(tmp_path, resnet_model):
-    # the digests and the 1-channel arch entry that earlier versions wrote:
-    # a change to either rejects every checkpoint saved before it
-    assert mini_resnet().backbone_digest() == 2485430723
-    assert mini_densenet().backbone_digest() == 2258372125
-    assert mini_resnet(num_classes=2, input_size=32).backbone_digest() == 2485430723
-    path = tmp_path / "model.xrnc"
-    save_checkpoint(resnet_model, path)
-    _, meta = read_checkpoint(path)
-    assert meta["arch"]["input_channels"] == 1
-    assert meta["digest"] == 2485430723
+@pytest.mark.parametrize("config,code,digest", [(mini_resnet, 0, 2485430723),
+                                                (mini_densenet, 1, 2258372125)])
+def test_files_of_earlier_versions_stay_loadable(tmp_path, config, code, digest):
+    # the layout earlier versions wrote, with the topology CRC they carried
+    # in meta.digest (now ignored), saved at epoch 3 with seed 42
+    source = build_model(config(num_classes=4, input_size=32), derive_stream(1, "init"))
+    tensors = dict(source.store.state_tensors())
+    tensors["meta.arch"] = np.array([code, 1, 32, 4], dtype=np.float32)
+    tensors["meta.digest"] = np.array([(digest >> (8 * i)) & 0xFF for i in range(4)],
+                                      dtype=np.float32)
+    tensors["meta.epoch"] = np.array([3], dtype=np.float32)
+    tensors["meta.seed"] = np.array([42, 0, 0, 0], dtype=np.float32)
+    old = tmp_path / "old.xrnc"
+    _write_raw(old, tensors)
+    target = build_model(config(num_classes=4, input_size=32), derive_stream(99, "init"))
+    meta = load_checkpoint(target, old)
+    assert meta == {"epoch": 3, "seed": 42, "arch": {
+        "family": ("resnet", "densenet")[code], "input_channels": 1,
+        "input_size": 32, "num_classes": 4}}
+    for name, arr in source.store.state_tensors().items():
+        npt.assert_array_equal(target.store.state_tensors()[name], arr)
+    # a new file is the same records without meta.digest, so the 4-entry
+    # meta.arch that earlier readers parse is still there
+    new = tmp_path / "new.xrnc"
+    save_checkpoint(target, new, epoch=3, seed=42)
+    del tensors["meta.digest"]
+    expected = tmp_path / "expected.xrnc"
+    _write_raw(expected, tensors)
+    assert new.read_bytes() == expected.read_bytes()
 
 
 def test_model_from_checkpoint_rebuilds(tmp_path):
@@ -156,10 +184,8 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model):
     last = list(tensors)[-1]
     tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
     tensors.update(_meta_tensors(source, 0, 0))
-    blob = b"".join([MAGIC, struct.pack("<II", VERSION, len(tensors))]
-                    + [_pack_tensor(n, a) for n, a in tensors.items()])
     path = tmp_path / "bad.xrnc"
-    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    _write_raw(path, tensors)
     before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
     with pytest.raises(CheckpointError, match=f"shape mismatch for '{last}'"):
         load_checkpoint(resnet_model, path)

@@ -9,6 +9,7 @@ import pytest
 from xraynet import verification
 from xraynet.checkpoint import save_checkpoint
 from xraynet.cli import build_parser, main
+from xraynet.dataset import default_mapping, parse_manifest
 from xraynet.nn import build_model, mini_resnet
 from xraynet.rng import derive_stream
 from xraynet.training import parse_metrics_csv
@@ -144,6 +145,18 @@ class TestTrain:
             code = exc.code
         assert code == 2
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_missing_image_exit2_before_training(self, synth_dir, tmp_path, capsys):
+        manifest = synth_dir / "manifest.csv"
+        records = parse_manifest(manifest.read_bytes(), default_mapping()).records
+        gone = next(r.image_ref for r in records if r.split == "Test")
+        (synth_dir / gone).unlink()
+        out = tmp_path / "run"
+        assert run("train", "--preset", "RCE", "--manifest", str(manifest),
+                   "--images-root", str(synth_dir), "--size", "32", "--epochs", "1",
+                   "--out", str(out)) == 2
+        assert gone in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path):
         args = ("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",

@@ -327,3 +327,18 @@ def test_from_manifest_rejects_seed_outside_64_bits(tmp_path, seed):
     manifest, _ = write_synthetic_dataset(tmp_path, 1, size=16, seed=1)
     with pytest.raises(ValueError, match="seed"):
         from_manifest(manifest, tmp_path, input_size=16, seed=seed)
+
+
+def test_from_manifest_checks_only_the_images_it_keeps(tmp_path):
+    from xraynet.dataset import from_manifest
+    from xraynet.synth import write_synthetic_dataset
+
+    manifest, _ = write_synthetic_dataset(tmp_path, 2, size=16, seed=1)
+    records = parse_manifest(manifest.read_bytes(), default_mapping()).records
+    gone = next(r.image_ref for r in records if r.label == ClassLabel.Virus)
+    (tmp_path / gone).unlink()
+    with pytest.raises(FileNotFoundError, match="1 manifest image"):
+        from_manifest(manifest, tmp_path, input_size=16)
+    bundle = from_manifest(manifest, tmp_path, input_size=16,
+                           binary=(ClassLabel.Normal, ClassLabel.Covid19))
+    assert len(bundle.train + bundle.val + bundle.test) == 2 * len(records) // 4

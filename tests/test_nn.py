@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -164,3 +166,17 @@ class TestHeadAndFreeze:
         for name, p in model.store.params.items():
             assert p.requires_grad == name.startswith("head.")
         assert set(model.trainable_params()) == {"head.weight", "head.bias"}
+
+
+# Logits of the freshly built models on a fixed input, train mode (which
+# updates the running statistics) then eval mode. A change to the layer
+# order, the block wiring or any op's arithmetic fails here.
+@pytest.mark.parametrize("family,train_crc,eval_crc", [
+    ("resnet", 0xCF5189DA, 0x5D281AB2),
+    ("densenet", 0xF7085701, 0x0683E7D6),
+])
+def test_pinned_forward_logits(family, train_crc, eval_crc):
+    model = build_model(ArchitectureConfig(family, input_size=32), derive_stream(0, "init"))
+    x = small_input((2, 1, 32, 32), seed=1)
+    assert zlib.crc32(model.forward(x, train=True).data.tobytes()) == train_crc
+    assert zlib.crc32(model.forward(x, train=False).data.tobytes()) == eval_crc

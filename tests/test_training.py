@@ -271,7 +271,7 @@ class TestFit:
         ckpt = tmp_path / "dense.xrnc"
         save_checkpoint(build_model(mini_densenet(input_size=32), derive_stream(0, "init")), ckpt)
         bundle = synthetic_bundle(2, size=32, seed=9)
-        with pytest.raises(CheckpointError, match="digest"):
+        with pytest.raises(CheckpointError, match="holds a densenet backbone"):
             fit(cfg(preset="PRCE", seed=9, checkpoint=str(ckpt)), bundle, run_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
