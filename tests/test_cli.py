@@ -2,12 +2,13 @@ import argparse
 import json
 import re
 import shlex
+import zlib
 from pathlib import Path
 
 import pytest
 
 from xraynet import verification
-from xraynet.checkpoint import save_checkpoint
+from xraynet.checkpoint import read_checkpoint, save_checkpoint
 from xraynet.cli import build_parser, main
 from xraynet.dataset import default_mapping, parse_manifest
 from xraynet.nn import build_model, mini_resnet
@@ -176,6 +177,36 @@ class TestTrain:
                    "--binary", "Bacteria,Virus", "--out", str(out)) == 0
         config = json.loads((out / "config.json").read_text())
         assert config["num_classes"] == 2
+
+
+# CRC32 of metrics.csv and of the saved state tensors (names and f32 bytes in
+# file order) for short CLI runs: RFL, DCE, and an RCE backbone transferred
+# to a frozen PRFL. A change to any op's arithmetic or float sum order, the
+# sampler, augmentation, initialisation or Adam fails here; a change meant to
+# move the trajectory updates these values and says which and why.
+TRAJECTORY_PINS = {
+    "RFL": (0xF5C12B4F, 0x1C9D9116),
+    "DCE": (0x9DA86E80, 0xA614AB89),
+    "RCE": (0x5C76862D, 0x22821AEA),
+    "PRFL": (0x44CAD02B, 0xB693FBFE),
+}
+
+
+def test_pinned_training_trajectories(tmp_path):
+    def train(preset, size, *extra):
+        out = tmp_path / preset
+        assert run("train", "--preset", preset, "--size", size, "--synthetic", "3",
+                   "--epochs", "2", "--batch-size", "4", "--seed", "3", *extra,
+                   "--out", str(out)) == 0
+        crc = 0
+        for name, arr in read_checkpoint(out / "model.xrnc")[0].items():
+            crc = zlib.crc32(arr.tobytes(), zlib.crc32(name.encode(), crc))
+        return zlib.crc32((out / "metrics.csv").read_bytes()), crc
+
+    got = {"RFL": train("RFL", "16"), "DCE": train("DCE", "24"), "RCE": train("RCE", "32")}
+    got["PRFL"] = train("PRFL", "32", "--freeze",
+                        "--checkpoint", str(tmp_path / "RCE" / "model.xrnc"))
+    assert got == TRAJECTORY_PINS
 
 
 class TestTransferFlow:
