@@ -28,6 +28,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 BN_EPS = 1e-5       # added to the variance before the inverse square root
 BN_MOMENTUM = 0.1   # weight of each batch's statistics in the running buffers
+POOL = 2            # every pooling window is POOL x POOL at stride POOL
 
 
 class Variable:
@@ -73,8 +74,8 @@ class Variable:
         return f"Variable(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def constant(data, dtype=None) -> Variable:
-    return Variable(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Variable:
+    return Variable(data, requires_grad=False)
 
 
 def _op(data: np.ndarray, edges: Iterable[Edge]) -> Variable:
@@ -159,59 +160,43 @@ def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
     ])
 
 
-def _pool_windows(xd: np.ndarray, k: int) -> np.ndarray:
-    """Non-overlapping k x k windows (stride k) as an (N, C, H//k, W//k, k, k) view."""
+def _pool_windows(xd: np.ndarray) -> np.ndarray:
+    """Non-overlapping POOL x POOL windows (stride POOL) as an (N, C, H//POOL, W//POOL, POOL, POOL) view."""
+    if xd.ndim != 4 or min(xd.shape[2:]) < POOL:
+        raise ValueError(f"pooling: expected NCHW input of at least {POOL}x{POOL}, got shape {xd.shape}")
     n, c, h, w = xd.shape
     s0, s1, s2, s3 = xd.strides
     return np.lib.stride_tricks.as_strided(
-        xd, shape=(n, c, h // k, w // k, k, k),
-        strides=(s0, s1, s2 * k, s3 * k, s2, s3))
+        xd, shape=(n, c, h // POOL, w // POOL, POOL, POOL),
+        strides=(s0, s1, s2 * POOL, s3 * POOL, s2, s3))
 
 
-def max_pool2d(x: Variable, kernel: int = 2) -> Variable:
-    """Max pooling, stride = kernel; on ties the gradient routes to the window's first max."""
+def max_pool2d(x: Variable) -> Variable:
+    """Max pooling; on ties the gradient routes to the window's first max."""
     xd = x.data
-    if xd.ndim != 4:
-        raise ValueError(f"max_pool2d: expected NCHW input, got shape {xd.shape}")
-    n, c, h, w = xd.shape
-    if h < kernel or w < kernel:
-        raise ValueError(f"max_pool2d: window {kernel} exceeds input {h}x{w}")
-    win = _pool_windows(xd, kernel)
-    oh, ow = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, oh, ow, kernel * kernel)
+    win = _pool_windows(xd)
+    flat = win.reshape(*win.shape[:4], POOL * POOL)
     amax = flat.argmax(axis=-1)  # first maximum wins ties
     out = np.take_along_axis(flat, amax[..., None], axis=-1)[..., 0]
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros_like(xd)
-        for i in range(kernel):
-            for j in range(kernel):
-                sel = (amax == i * kernel + j)
-                gx[:, :, i:i + kernel * oh:kernel, j:j + kernel * ow:kernel] += g * sel
+        sel = np.arange(POOL * POOL) == amax[..., None]
+        _pool_windows(gx)[...] += (g[..., None] * sel).reshape(win.shape)
         return gx
 
     return _op(out, [(x, vjp)])
 
 
-def avg_pool2d(x: Variable, kernel: int = 2) -> Variable:
-    """Average pooling, stride = kernel."""
+def avg_pool2d(x: Variable) -> Variable:
+    """Average pooling."""
     xd = x.data
-    if xd.ndim != 4:
-        raise ValueError(f"avg_pool2d: expected NCHW input, got shape {xd.shape}")
-    n, c, h, w = xd.shape
-    if h < kernel or w < kernel:
-        raise ValueError(f"avg_pool2d: window {kernel} exceeds input {h}x{w}")
-    win = _pool_windows(xd, kernel)
-    oh, ow = win.shape[2], win.shape[3]
-    out = win.mean(axis=(4, 5))
-    scale = 1.0 / (kernel * kernel)
+    out = _pool_windows(xd).mean(axis=(4, 5))
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros_like(xd)
-        gs = (g * scale).astype(xd.dtype, copy=False)
-        for i in range(kernel):
-            for j in range(kernel):
-                gx[:, :, i:i + kernel * oh:kernel, j:j + kernel * ow:kernel] += gs
+        gs = (g * (1.0 / (POOL * POOL))).astype(xd.dtype, copy=False)
+        _pool_windows(gx)[...] += gs[..., None, None]
         return gx
 
     return _op(out, [(x, vjp)])

@@ -52,7 +52,7 @@ def _meta_tensors(model: Model, epoch: int, seed: int) -> dict[str, np.ndarray]:
     return {
         # the 1 is the input channel count, which every Mini backbone fixes
         "meta.arch": np.array([FAMILIES.index(cfg.family), 1,
-                               cfg.input_size, model.num_classes], dtype=np.float32),
+                               cfg.input_size, cfg.num_classes], dtype=np.float32),
         "meta.epoch": np.array([epoch], dtype=np.float32),
         "meta.seed": np.array([(seed >> (16 * i)) & 0xFFFF for i in range(4)], dtype=np.float32),
     }

@@ -171,8 +171,8 @@ def cmd_eval(args) -> int:
     model, meta = model_from_checkpoint(ckpt)
     args.size = meta["arch"]["input_size"]  # eval has no --size: the checkpoint fixes it
     bundle = _build_bundle(args)
-    if bundle.num_classes != model.num_classes:
-        raise UsageError(f"checkpoint has {model.num_classes} classes "
+    if bundle.num_classes != model.config.num_classes:
+        raise UsageError(f"checkpoint has {model.config.num_classes} classes "
                          f"but the data source has {bundle.num_classes}")
     records = {"train": bundle.train, "val": bundle.val, "test": bundle.test}[args.split]
     loss, acc, conf = evaluate(model, records, bundle, cross_entropy, args.batch_size)

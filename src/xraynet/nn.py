@@ -20,7 +20,7 @@ trainable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,7 +214,7 @@ class Transition:
         self.out_channels = cin // 2
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        return ad.avg_pool2d(self.conv(ad.relu(self.bn(x, train, update_stats))), 2)
+        return ad.avg_pool2d(self.conv(ad.relu(self.bn(x, train, update_stats))))
 
 
 class Model:
@@ -225,7 +225,6 @@ class Model:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.store = ParameterStore()
-        self.num_classes = config.num_classes
         store, dtype, size, c = self.store, self.dtype, config.input_size, STEM_CHANNELS
 
         self.stem_conv = Conv2d(store, "stem.conv", 1, c, 3, 1, 1, rng, dtype)
@@ -278,12 +277,11 @@ def build_model(config: ArchitectureConfig, rng: Pcg32, dtype=np.float32) -> Mod
 
 def replace_head(model: Model, num_classes: int, rng: Pcg32) -> None:
     """Re-dimension and re-initialize the classifier head; backbone untouched."""
-    if num_classes < 2:
-        raise ValueError("num_classes must be at least 2")
+    config = replace(model.config, num_classes=num_classes)  # rejects fewer than 2
     # the head is registered last, so re-registering it keeps the store's order
     del model.store.params[HEAD_PREFIX + "weight"], model.store.params[HEAD_PREFIX + "bias"]
     model.head = Linear(model.store, "head", model.feature_dim, num_classes, rng, model.dtype)
-    model.num_classes = num_classes
+    model.config = config
 
 
 def freeze_backbone(model: Model) -> None:

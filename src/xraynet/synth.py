@@ -43,24 +43,26 @@ def _normalize_counts(n_per_class: "int | Sequence[int]") -> list[int]:
 
 
 def make_synthetic_dataset(n_per_class: "int | Sequence[int]", size: int = 64,
-                           seed: int = 0, split: str = "Train",
-                           prefix: str = "synth") -> tuple[list[SampleRecord], dict[str, GrayImage]]:
+                           seed: int = 0, split: str = "Train"
+                           ) -> tuple[list[SampleRecord], dict[str, GrayImage]]:
     """Generate records plus in-memory images, deterministically from `seed`.
 
     `n_per_class` is a single count or one count per class (zeros allowed
-    to leave a class out). Images are keyed by their record's image_ref.
+    to leave a class out). The split names the draw stream and the files
+    (``synth.train``, ``train_c0_0000.pgm``), so the Train and Test pools of
+    one seed are disjoint. Images are keyed by their record's image_ref.
     """
     counts = _normalize_counts(n_per_class)
     if size < 16:
         raise ValueError(f"size must be at least 16, got {size}")
     records: list[SampleRecord] = []
     images: dict[str, GrayImage] = {}
-    stream_tag = f"synth.{prefix}"
+    tag = split.lower()
     idx = 0
     for label, count in enumerate(counts):
         orient, period = CLASS_PATTERNS[label]
         for i in range(count):
-            rng = derive_stream(seed, stream_tag, idx)
+            rng = derive_stream(seed, f"synth.{tag}", idx)
             idx += 1
             phase = rng.uniform(0.0, period)
             amplitude = rng.uniform(45.0, 70.0)
@@ -73,7 +75,7 @@ def make_synthetic_dataset(n_per_class: "int | Sequence[int]", size: int = 64,
                 img = np.broadcast_to(wave[None, :], (size, size)).copy()
             img += rng.uniform_array((size, size), -12.0, 12.0)
             pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-            ref = f"{prefix}_c{label}_{i:04d}.pgm"
+            ref = f"{tag}_c{label}_{i:04d}.pgm"
             records.append(SampleRecord(image_ref=ref, label=label, split=split))
             images[ref] = GrayImage(pixels)
     return records, images
@@ -84,11 +86,9 @@ def synthetic_bundle(n_per_class: "int | Sequence[int]", size: int = 64, seed: i
                      binary: tuple[int, int] | None = None) -> DataBundle:
     """Train/val/test bundle over two disjoint synthetic pools, split by
     `split_bundle` as `from_manifest` splits a manifest."""
-    train_pool, train_imgs = make_synthetic_dataset(n_per_class, size, seed,
-                                                    split="Train", prefix="train")
+    train_pool, train_imgs = make_synthetic_dataset(n_per_class, size, seed, split="Train")
     test_counts = n_per_class if test_per_class is None else test_per_class
-    test, test_imgs = make_synthetic_dataset(test_counts, size, seed,
-                                             split="Test", prefix="test")
+    test, test_imgs = make_synthetic_dataset(test_counts, size, seed, split="Test")
     images = {**train_imgs, **test_imgs}
     return split_bundle(train_pool + test, images.__getitem__, size, seed, binary)
 
@@ -120,20 +120,19 @@ def manifest_csv(records: Sequence[SampleRecord]) -> str:
 
 
 def write_synthetic_dataset(out_dir, n_per_class: "int | Sequence[int]",
-                            size: int = 64, seed: int = 0,
-                            prefix: str = "synth") -> tuple[Path, Path]:
+                            size: int = 64, seed: int = 0) -> tuple[Path, Path]:
     """Write PGM images plus a manifest.csv; returns (manifest path, images dir).
 
     The manifest carries a TRAIN pool and a disjoint TEST pool of the same
-    per-class counts, so the written dataset is directly trainable. Every
+    per-class counts: the two pools `synthetic_bundle` builds at the same
+    counts, size and seed, so training on either gives the same run. Every
     image is generated before anything is created under `out_dir`, so a
     rejected count, size or seed leaves it untouched.
     """
     records: list[SampleRecord] = []
     images: dict[str, GrayImage] = {}
     for split in ("Train", "Test"):
-        recs, imgs = make_synthetic_dataset(n_per_class, size, seed, split=split,
-                                            prefix=f"{prefix}_{split.lower()}")
+        recs, imgs = make_synthetic_dataset(n_per_class, size, seed, split=split)
         records.extend(recs)
         images.update(imgs)
     out = Path(out_dir)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -213,6 +214,7 @@ def evaluate(model: Model, records, bundle: DataBundle, loss_fn,
         total_loss += loss.item() * (hi - lo)
         all_logits.append(logits.data)
         all_labels.append(labels)
+        del logits, loss  # free this batch's graph before the next forward
     logits = np.concatenate(all_logits)
     labels = np.concatenate(all_labels)
     return (total_loss / len(records), accuracy(logits, labels),
@@ -255,6 +257,7 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
         optimizer.step(model.store.params, lr)
         loss_sum += loss.item() * len(labels)
         correct += int((logits.data.argmax(axis=1) == labels).sum())
+        del logits, loss  # free this step's graph before the next batch
 
     val_loss, val_acc, _ = evaluate(model, bundle.val, bundle, loss_fn, config.batch_size)
     return EpochMetrics(epoch=epoch, lr=lr,
@@ -320,7 +323,10 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
     return record
 
 
-METRIC_COLUMNS = ("epoch", "lr", "train_loss", "train_acc", "val_loss", "val_acc")
+# metrics.csv has one column per EpochMetrics field, in field order; each
+# value is written as repr() of its declared type and read back by that type
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
+_COLUMN_TYPES = get_type_hints(EpochMetrics)
 
 
 def export_metrics(record: RunRecord, run_dir) -> tuple[Path, Path]:
@@ -330,11 +336,7 @@ def export_metrics(record: RunRecord, run_dir) -> tuple[Path, Path]:
     csv_path = run_dir / "metrics.csv"
     lines = [",".join(METRIC_COLUMNS)]
     for m in record.epoch_metrics:
-        lines.append(",".join([
-            str(m.epoch), repr(float(m.lr)),
-            repr(float(m.train_loss)), repr(float(m.train_acc)),
-            repr(float(m.val_loss)), repr(float(m.val_acc)),
-        ]))
+        lines.append(",".join(repr(_COLUMN_TYPES[c](getattr(m, c))) for c in METRIC_COLUMNS))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     summary = {
@@ -360,6 +362,6 @@ def parse_metrics_csv(path) -> list[EpochMetrics]:
         raise ValueError(f"{path}: unexpected metrics header")
     out = []
     for line in lines[1:]:
-        e, lr, tl, ta, vl, va = line.split(",")
-        out.append(EpochMetrics(int(e), float(lr), float(tl), float(ta), float(vl), float(va)))
+        values = zip(METRIC_COLUMNS, line.split(","), strict=True)
+        out.append(EpochMetrics(**{c: _COLUMN_TYPES[c](v) for c, v in values}))
     return out

@@ -109,12 +109,12 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     xm = Variable((vals[order].reshape(2, 2, 4, 4) * 0.1).astype(dtype), requires_grad=True)
     pm = _positive(rng, (2, 2, 2, 2), dtype)
     check("max_pool2d", lambda: ad.sum_axes(ad.bmul(
-        ad.max_pool2d(xm, 2), ad.constant(pm))), [xm])
+        ad.max_pool2d(xm), ad.constant(pm))), [xm])
 
     xa = Variable(rng.uniform_array((2, 2, 4, 4), -1.0, 1.0).astype(dtype), requires_grad=True)
     pa = _positive(rng, (2, 2, 2, 2), dtype)
     check("avg_pool2d", lambda: ad.sum_axes(ad.bmul(
-        ad.avg_pool2d(xa, 2), ad.constant(pa))), [xa])
+        ad.avg_pool2d(xa), ad.constant(pa))), [xa])
 
     xg = Variable(rng.uniform_array((2, 3, 4, 4), -1.0, 1.0).astype(dtype), requires_grad=True)
     pg = _positive(rng, (2, 3), dtype)

@@ -339,19 +339,19 @@ class TestSimpleOps:
 
     def test_max_pool_tie_routes_to_lowest_flat_index(self):
         x = Variable(np.array([[[[1.0, 1.0], [1.0, 1.0]]]], dtype=np.float32), requires_grad=True)
-        out = ad.max_pool2d(x, 2)
+        out = ad.max_pool2d(x)
         npt.assert_array_equal(out.data, [[[[1.0]]]])
         backward(ad.sum_axes(out))
         npt.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_max_pool_selects_max(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = ad.max_pool2d(Variable(x), 2)
+        out = ad.max_pool2d(Variable(x))
         npt.assert_array_equal(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
     def test_avg_and_global_pool(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        npt.assert_allclose(ad.avg_pool2d(Variable(x), 2).data,
+        npt.assert_allclose(ad.avg_pool2d(Variable(x)).data,
                             [[[[2.5, 4.5], [10.5, 12.5]]]])
         npt.assert_allclose(ad.global_avg_pool(Variable(x)).data, [[7.5]])
 
@@ -360,7 +360,7 @@ class TestSimpleOps:
         # stride = kernel: a 5x5 input gives 2x2 windows, and the 5th row and
         # column get no gradient
         x = Variable(np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5), requires_grad=True)
-        out = pool(x, 2)
+        out = pool(x)
         assert out.shape == (1, 1, 2, 2)
         backward(ad.sum_axes(out))
         npt.assert_array_equal(x.grad[..., 4, :], 0.0)

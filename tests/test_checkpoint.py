@@ -99,7 +99,7 @@ def test_head_mismatch_skips_head_when_allowed(tmp_path, resnet_model):
     npt.assert_array_equal(two_class.store.params["head.weight"].data, fresh_head)
     npt.assert_array_equal(two_class.store.params["stem.conv.kernel"].data,
                            resnet_model.store.params["stem.conv.kernel"].data)
-    assert two_class.num_classes == 2
+    assert two_class.config.num_classes == 2
 
 
 def test_family_mismatch_rejected_before_any_copy(tmp_path, resnet_model):
@@ -150,7 +150,7 @@ def test_model_from_checkpoint_rebuilds(tmp_path):
     save_checkpoint(model, path, epoch=2, seed=9)
     rebuilt, meta = model_from_checkpoint(path)
     assert meta["arch"]["family"] == "densenet"
-    assert rebuilt.num_classes == 3
+    assert rebuilt.config.num_classes == 3
     for name, arr in model.store.state_tensors().items():
         npt.assert_array_equal(rebuilt.store.state_tensors()[name], arr)
 
@@ -163,6 +163,16 @@ def test_round_trip_after_head_replacement(tmp_path, resnet_model):
     load_checkpoint(target, path)
     for name, arr in resnet_model.store.state_tensors().items():
         npt.assert_array_equal(target.store.state_tensors()[name], arr)
+
+
+def test_replaced_head_sets_the_class_count_everywhere(tmp_path, resnet_model):
+    replace_head(resnet_model, 2, derive_stream(7, "head"))
+    assert resnet_model.config.num_classes == 2
+    path = tmp_path / "two.xrnc"
+    save_checkpoint(resnet_model, path)
+    rebuilt, meta = model_from_checkpoint(path)
+    assert rebuilt.config.num_classes == meta["arch"]["num_classes"] == 2
+    assert rebuilt.head.weight.shape == (2, rebuilt.feature_dim)
 
 
 def test_running_stats_round_trip(tmp_path, resnet_model):

@@ -170,6 +170,18 @@ class TestTrain:
         assert config["preset"] == "RCE" and config["seed"] == 7
         assert len(parse_metrics_csv(r1 / "metrics.csv")) == 2
 
+    def test_synth_writes_the_synthetic_training_set(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("synth", "--per-class", "3", "--size", "16", "--seed", "5",
+                   "--out", str(data)) == 0
+        args = ("train", "--preset", "RCE", "--size", "16", "--seed", "5",
+                "--epochs", "2", "--batch-size", "4")
+        assert run(*args, "--manifest", str(data / "manifest.csv"), "--images-root", str(data),
+                   "--out", str(tmp_path / "from_disk")) == 0
+        assert run(*args, "--synthetic", "3", "--out", str(tmp_path / "in_memory")) == 0
+        assert ((tmp_path / "from_disk" / "metrics.csv").read_bytes()
+                == (tmp_path / "in_memory" / "metrics.csv").read_bytes())
+
     def test_binary_flag(self, tmp_path):
         out = tmp_path / "r"
         assert run("train", "--preset", "RCE", "--synthetic", "3", "--size", "32",

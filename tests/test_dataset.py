@@ -304,8 +304,7 @@ def test_extra_manifest_appends_records(tmp_path):
     from xraynet.synth import write_synthetic_dataset
 
     main_manifest, _ = write_synthetic_dataset(tmp_path / "main", (5, 5, 5, 1), size=16, seed=1)
-    extra_manifest, _ = write_synthetic_dataset(tmp_path / "extra", (0, 0, 0, 4), size=16,
-                                                seed=2, prefix="extra")
+    extra_manifest, _ = write_synthetic_dataset(tmp_path / "extra", (0, 0, 0, 4), size=16, seed=2)
 
     base = from_manifest(main_manifest, tmp_path / "main", input_size=16)
     merged = from_manifest(main_manifest, tmp_path / "main", input_size=16,

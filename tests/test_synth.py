@@ -56,8 +56,8 @@ class TestGenerator:
 
     def test_linear_classifier_separates_classes(self):
         # least-squares one-vs-all on pixel statistics, disjoint train/eval pools
-        train_recs, train_imgs = make_synthetic_dataset(25, size=64, seed=11, prefix="a")
-        eval_recs, eval_imgs = make_synthetic_dataset(25, size=64, seed=12, prefix="b")
+        train_recs, train_imgs = make_synthetic_dataset(25, size=64, seed=11)
+        eval_recs, eval_imgs = make_synthetic_dataset(25, size=64, seed=11, split="Test")
 
         def featurize(records, images):
             x = np.stack([gradient_features(images[r.image_ref].pixels) for r in records])
@@ -119,8 +119,8 @@ class TestDiskExport:
 
     def test_written_images_match_generator(self, tmp_path):
         manifest, img_dir = write_synthetic_dataset(tmp_path, 1, size=16, seed=5)
-        for split in ("train", "test"):
-            _, images = make_synthetic_dataset(1, size=16, seed=5, prefix=f"synth_{split}")
+        for split in ("Train", "Test"):
+            _, images = make_synthetic_dataset(1, size=16, seed=5, split=split)
             for ref, img in images.items():
                 on_disk = read_pgm((img_dir / ref).read_bytes())
                 npt.assert_array_equal(on_disk.pixels, img.pixels)
