@@ -36,8 +36,8 @@ class Variable:
 
     __slots__ = ("data", "requires_grad", "_grad", "_edges")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
@@ -161,9 +161,11 @@ def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
 
 
 def _pool_windows(xd: np.ndarray) -> np.ndarray:
-    """Non-overlapping POOL x POOL windows (stride POOL) as an (N, C, H//POOL, W//POOL, POOL, POOL) view."""
+    """Non-overlapping POOL x POOL windows at stride POOL, as an
+    (N, C, H//POOL, W//POOL, POOL, POOL) view; a trailing odd row or column is left out."""
     if xd.ndim != 4 or min(xd.shape[2:]) < POOL:
-        raise ValueError(f"pooling: expected NCHW input of at least {POOL}x{POOL}, got shape {xd.shape}")
+        raise ValueError(f"pooling: expected NCHW input of at least {POOL}x{POOL}, "
+                         f"got shape {xd.shape}")
     n, c, h, w = xd.shape
     s0, s1, s2, s3 = xd.strides
     return np.lib.stride_tricks.as_strided(
