@@ -38,8 +38,8 @@ def _parse_binary(text: str) -> tuple[int, int]:
     for p in parts:
         if p.isdigit():
             v = int(p)
-            if v > 3:
-                raise UsageError(f"class index {v} out of range 0..3")
+            if v >= len(CLASS_NAMES):
+                raise UsageError(f"class index {v} out of range 0..{len(CLASS_NAMES) - 1}")
         else:
             try:
                 v = int(ClassLabel[p.capitalize()])
@@ -72,13 +72,7 @@ def _build_bundle(args):
         raise UsageError("--extra-images-root needs --extra-manifest")
     binary = _parse_binary(args.binary) if args.binary else None
     if args.synthetic:
-        counts = args.synthetic
-        if binary is not None:
-            per_class = [0, 0, 0, 0]
-            per_class[binary[0]] = counts
-            per_class[binary[1]] = counts
-            counts = per_class
-        return synthetic_bundle(counts, size=args.size, seed=args.seed, binary=binary)
+        return synthetic_bundle(args.synthetic, size=args.size, seed=args.seed, binary=binary)
     if args.manifest:
         manifest = Path(args.manifest)
         if not manifest.exists():
@@ -231,7 +225,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--extra-manifest",
                    help="supplementary manifest appended to the dataset (e.g. extra samples)")
     p.add_argument("--extra-images-root",
-                   help="image root for supplementary manifest references")
+                   help="image root for supplementary manifest references "
+                        "(default: --images-root)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=8)
 

@@ -263,34 +263,30 @@ def from_manifest(manifest_path, images_root, mapping: ManifestConfig | None = N
     """Bundle a manifest (plus an optional supplementary manifest, e.g. extra
     minority-class samples) into train/val/test splits by `split_bundle`.
 
-    Supplementary records keep their own split tags. Every image reference
-    resolves against the main root, and against `extra_images_root` (when
-    given) for references the main directory does not hold. Each record the
-    bundle keeps must resolve to an existing file, so a missing image fails
-    here, before any training starts.
+    Supplementary records keep their own split tags. Main-manifest images
+    load from `images_root`; supplementary ones from `extra_images_root`, or
+    from `images_root` when it is not given. Each record the bundle keeps
+    must name an existing file, so a missing image fails here, before any
+    training starts.
     """
     mapping = mapping or default_mapping()
-    result = parse_manifest(Path(manifest_path).read_bytes(), mapping)
-    records = list(result.records)
+    records = parse_manifest(Path(manifest_path).read_bytes(), mapping).records
     root = Path(images_root)
-    extra_root = None
     if extra_manifest is not None:
-        extra = parse_manifest(Path(extra_manifest).read_bytes(), mapping)
-        records.extend(extra.records)
-        extra_root = Path(extra_images_root) if extra_images_root else None
+        extra = parse_manifest(Path(extra_manifest).read_bytes(), mapping).records
+        if extra_images_root:
+            # refs rebased onto the absolute extra root, which `root / ref` keeps
+            extra_root = Path(extra_images_root).absolute()
+            extra = [SampleRecord(str(extra_root / r.image_ref), r.label, r.split)
+                     for r in extra]
+        records = records + extra
 
-    def resolve(ref: str) -> Path:
-        main = root / ref
-        if extra_root is not None and not main.exists():
-            return extra_root / ref
-        return main
-
-    bundle = split_bundle(records, lambda ref: load_image(resolve(ref)), input_size, seed, binary)
+    bundle = split_bundle(records, lambda ref: load_image(root / ref), input_size, seed, binary)
     missing = [r.image_ref for r in bundle.train + bundle.val + bundle.test
-               if not resolve(r.image_ref).is_file()]
+               if not (root / r.image_ref).is_file()]
     if missing:
         raise FileNotFoundError(
-            f"{len(missing)} manifest image(s) not found, first: {resolve(missing[0])}")
+            f"{len(missing)} manifest image(s) not found, first: {root / missing[0]}")
     return bundle
 
 

@@ -126,8 +126,11 @@ class BatchNorm2d:
         self.running_var = store.register_buffer(f"{name}.running_var", np.ones(c, dtype=dtype))
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
+        # a frozen layer runs in inference mode, as a Keras layer with
+        # trainable = False does: running statistics, buffers left as they are
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             train=train, update_running=update_stats)
+                             train=train and self.gamma.requires_grad,
+                             update_running=update_stats)
 
 
 class Linear:
@@ -285,7 +288,8 @@ def replace_head(model: Model, num_classes: int, rng: Pcg32) -> None:
 
 
 def freeze_backbone(model: Model) -> None:
-    """Mark every non-head parameter non-trainable."""
+    """Mark every non-head parameter non-trainable, which also runs the
+    backbone's batch norm in inference mode."""
     for name, var in model.store.params.items():
         if not name.startswith(HEAD_PREFIX):
             var.requires_grad = False

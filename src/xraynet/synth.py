@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DataBundle, SampleRecord, split_bundle
+from .dataset import CLASS_NAMES, DataBundle, SampleRecord, split_bundle
 from .images import GrayImage, write_pgm
 from .rng import derive_stream
 
@@ -32,11 +32,11 @@ CLASS_PATTERNS = {
 
 def _normalize_counts(n_per_class: "int | Sequence[int]") -> list[int]:
     if isinstance(n_per_class, int):
-        counts = [n_per_class] * 4
+        counts = [n_per_class] * len(CLASS_NAMES)
     else:
         counts = [int(c) for c in n_per_class]
-        if len(counts) != 4:
-            raise ValueError(f"need 4 per-class counts, got {len(counts)}")
+        if len(counts) != len(CLASS_NAMES):
+            raise ValueError(f"need {len(CLASS_NAMES)} per-class counts, got {len(counts)}")
     if all(c == 0 for c in counts) or any(c < 0 for c in counts):
         raise ValueError(f"invalid per-class counts {counts}")
     return counts
@@ -81,16 +81,24 @@ def make_synthetic_dataset(n_per_class: "int | Sequence[int]", size: int = 64,
     return records, images
 
 
+def _pools(n_per_class: "int | Sequence[int]", size: int, seed: int,
+           test_per_class: "int | Sequence[int] | None" = None
+           ) -> tuple[list[SampleRecord], dict[str, GrayImage]]:
+    """The Train pool then the Test pool (at `test_per_class`, by default the
+    Train counts), records and images."""
+    records, images = make_synthetic_dataset(n_per_class, size, seed, split="Train")
+    test_counts = n_per_class if test_per_class is None else test_per_class
+    test, test_imgs = make_synthetic_dataset(test_counts, size, seed, split="Test")
+    return records + test, {**images, **test_imgs}
+
+
 def synthetic_bundle(n_per_class: "int | Sequence[int]", size: int = 64, seed: int = 0,
                      test_per_class: "int | Sequence[int] | None" = None,
                      binary: tuple[int, int] | None = None) -> DataBundle:
     """Train/val/test bundle over two disjoint synthetic pools, split by
     `split_bundle` as `from_manifest` splits a manifest."""
-    train_pool, train_imgs = make_synthetic_dataset(n_per_class, size, seed, split="Train")
-    test_counts = n_per_class if test_per_class is None else test_per_class
-    test, test_imgs = make_synthetic_dataset(test_counts, size, seed, split="Test")
-    images = {**train_imgs, **test_imgs}
-    return split_bundle(train_pool + test, images.__getitem__, size, seed, binary)
+    records, images = _pools(n_per_class, size, seed, test_per_class)
+    return split_bundle(records, images.__getitem__, size, seed, binary)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +137,7 @@ def write_synthetic_dataset(out_dir, n_per_class: "int | Sequence[int]",
     image is generated before anything is created under `out_dir`, so a
     rejected count, size or seed leaves it untouched.
     """
-    records: list[SampleRecord] = []
-    images: dict[str, GrayImage] = {}
-    for split in ("Train", "Test"):
-        recs, imgs = make_synthetic_dataset(n_per_class, size, seed, split=split)
-        records.extend(recs)
-        images.update(imgs)
+    records, images = _pools(n_per_class, size, seed)
     out = Path(out_dir)
     img_dir = out / "images"
     img_dir.mkdir(parents=True, exist_ok=True)

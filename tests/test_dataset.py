@@ -316,6 +316,14 @@ def test_extra_manifest_appends_records(tmp_path):
     pool = merged.train + merged.val
     x, labels = make_batch(pool, range(len(pool)), merged.images, 16)
     assert x.shape[0] == 20 and np.bincount(labels, minlength=4).tolist() == [5, 5, 5, 5]
+    # both manifests name this file; each record loads it from its own root
+    ref = "images/train_c3_0000.pgm"
+    roots = (tmp_path / "main", tmp_path / "extra")
+    on_disk = sorted(images.load_image(root / ref).pixels.tobytes() for root in roots)
+    assert on_disk[0] != on_disk[1]
+    loaded = sorted(merged.images(r.image_ref).pixels.tobytes()
+                    for r in pool if r.image_ref.endswith(ref))
+    assert loaded == on_disk
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])

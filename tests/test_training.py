@@ -303,6 +303,8 @@ class TestFit:
             if name.startswith("head."):
                 continue
             npt.assert_array_equal(p.data, pre.model.store.params[name].data)
+        for name, buf in trained.store.buffers.items():
+            npt.assert_array_equal(buf, pre.model.store.buffers[name])
         assert not np.array_equal(trained.store.params["head.weight"].data,
                                   pre.model.store.params["head.weight"].data)
 
