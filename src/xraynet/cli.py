@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit, pars
 from .verification import run_scope, settings
 
 HIST_SAMPLES = 2  # per-sample histogram files `stats` writes for each class
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 class UsageError(ValueError):
@@ -51,6 +53,15 @@ def _parse_binary(text: str) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def _parse_counts(text: str) -> int | list[int]:
+    """`N`, the same count for every class, or one count per class, `a,b,c,d`."""
+    try:
+        counts = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or a,b,c,d counts, got {text!r}") from None
+    return counts[0] if len(counts) == 1 else counts
+
+
 def _load_mapping(path: str | None) -> ManifestConfig:
     if path is None:
         return default_mapping()
@@ -65,13 +76,13 @@ def _build_bundle(args):
     manifest_flags = {"--mapping": args.mapping, "--images-root": args.images_root,
                       "--extra-manifest": args.extra_manifest,
                       "--extra-images-root": args.extra_images_root}
-    if args.synthetic and any(manifest_flags.values()):
+    if args.synthetic is not None and any(manifest_flags.values()):
         given = ", ".join(f for f, v in manifest_flags.items() if v)
         raise UsageError(f"--synthetic ignores manifest flags: {given}")
     if args.extra_images_root and not args.extra_manifest:
         raise UsageError("--extra-images-root needs --extra-manifest")
     binary = _parse_binary(args.binary) if args.binary else None
-    if args.synthetic:
+    if args.synthetic is not None:
         return synthetic_bundle(args.synthetic, size=args.size, seed=args.seed, binary=binary)
     if args.manifest:
         manifest = Path(args.manifest)
@@ -132,25 +143,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    counts = [int(c) for c in args.counts.split(",")] if args.counts else args.per_class
-    if counts is None:
-        raise UsageError("provide --per-class N or --counts a,b,c,d")
-    manifest, img_dir = write_synthetic_dataset(args.out, counts, size=args.size, seed=args.seed)
+    manifest, img_dir = write_synthetic_dataset(args.out, args.counts, args.size, args.seed)
     print(f"wrote {manifest} and images under {img_dir}")
     return 0
 
 
-def _train_config(args, num_classes: int) -> TrainConfig:
-    return TrainConfig(
-        preset=args.preset, num_classes=num_classes, epochs=args.epochs,
-        base_lr=args.lr, batch_size=args.batch_size, seed=args.seed,
-        input_size=args.size, checkpoint=args.checkpoint, freeze=args.freeze,
-        augment=not args.no_augment, focal_gamma=args.gamma)
-
-
 def cmd_train(args) -> int:
     bundle = _build_bundle(args)
-    config = _train_config(args, bundle.num_classes)
+    config = TrainConfig(
+        preset=args.preset, num_classes=bundle.num_classes, epochs=args.epochs,
+        base_lr=args.lr, batch_size=args.batch_size, seed=args.seed,
+        input_size=args.size, checkpoint=args.checkpoint, freeze=args.freeze,
+        augment=not args.no_augment)
     record = fit(config, bundle, run_dir=args.out)
     print(f"preset {config.preset}: test_accuracy={record.test_accuracy:.4f} "
           f"train_acc_avg={record.train_acc_avg:.4f} val_acc_avg={record.val_acc_avg:.4f}")
@@ -215,8 +219,8 @@ def cmd_export_curves(args) -> int:
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--synthetic", type=int, metavar="N",
-                        help="use N synthetic samples per class instead of a manifest")
+    source.add_argument("--synthetic", type=_parse_counts, metavar="N|a,b,c,d",
+                        help="synthetic samples, N per class or a,b,c,d, instead of a manifest")
     source.add_argument("--manifest", help="dataset manifest CSV")
     p.add_argument("--mapping", help="manifest mapping JSON (default: CoronaHack mapping)")
     p.add_argument("--images-root", help="directory resolving manifest image references")
@@ -227,8 +231,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--extra-images-root",
                    help="image root for supplementary manifest references "
                         "(default: --images-root)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    p.add_argument("--batch-size", type=int, default=_DEFAULTS["batch_size"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="generate a synthetic PGM dataset + manifest")
-    counts = p.add_mutually_exclusive_group()
-    counts.add_argument("--per-class", type=int)
-    counts.add_argument("--counts", metavar="a,b,c,d", help="explicit per-class counts")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--counts", type=_parse_counts, required=True, metavar="N|a,b,c,d")
+    p.add_argument("--size", type=int, default=_DEFAULTS["input_size"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -257,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True,
                    help="one of " + ", ".join(sorted(PRESETS)))
     p.add_argument("--checkpoint", help="pretrained checkpoint (PR*/PD* presets)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=2.0, help="focal loss gamma")
+    p.add_argument("--epochs", type=int, default=_DEFAULTS["epochs"])
+    p.add_argument("--lr", type=float, default=_DEFAULTS["base_lr"])
     p.add_argument("--freeze", action="store_true", help="freeze the backbone")
     p.add_argument("--no-augment", action="store_true", help="disable flip/rotation augmentation")
-    p.add_argument("--size", type=int, default=64, help="input resolution (default 64)")
+    p.add_argument("--size", type=int, default=_DEFAULTS["input_size"], help="input resolution")
     _add_data_flags(p)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_train)

@@ -6,8 +6,8 @@ strictly one-hot rows. Both are one graph node, the focal loss (Lin et al.
 2017, arXiv:1708.02002), whose single edge to the logits z has a closed-form
 gradient: with p = softmax(z) and one-hot t, dz = D*(t - p)/n,
 D = -alpha*[(1-p_t)^g - g*p_t*(1-p_t)^(g-1)*log p_t]. Focal loss takes
-alpha = FOCAL_ALPHA; cross-entropy is the same node at g = 0 and alpha = 1,
-where D = -1 and dz = (p - t)/n.
+alpha = FOCAL_ALPHA and g = FOCAL_GAMMA; cross-entropy is the same node at
+g = 0 and alpha = 1, where D = -1 and dz = (p - t)/n.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Variable
 
-# Lin et al.'s alpha for gamma = 2. A constant scale, which Adam's update
-# normalisation cancels up to its eps, so it is not a setting.
+# Lin et al.'s pair, the paper's one focal setting. alpha is a constant
+# scale, which Adam's update normalisation cancels up to its eps.
+FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
 
 
@@ -44,7 +45,7 @@ def cross_entropy(logits: Variable, targets: np.ndarray) -> Variable:
     return _focal(logits, targets, 0.0, 1.0)
 
 
-def focal_loss(logits: Variable, targets: np.ndarray, gamma: float = 2.0) -> Variable:
+def focal_loss(logits: Variable, targets: np.ndarray, gamma: float = FOCAL_GAMMA) -> Variable:
     """Mean over the batch of -FOCAL_ALPHA (1 - p_t)^gamma log p_t.
 
     p_t is the softmax probability of each sample's true class; well

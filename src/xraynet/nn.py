@@ -55,6 +55,11 @@ class ArchitectureConfig:
             raise ValueError(f"unknown architecture family {self.family!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
+        # the resnet stages keep a 1 px map at 1 px; each densenet transition halves it
+        min_size = 1 if self.family == "resnet" else 2 ** (len(DENSE_LAYERS) - 1)
+        if self.input_size < min_size:
+            raise ValueError(f"a {self.family} needs inputs of at least {min_size} px, "
+                             f"got {self.input_size}")
 
 
 def mini_resnet(num_classes: int = 4, input_size: int = 64) -> ArchitectureConfig:
@@ -228,15 +233,12 @@ class Model:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.store = ParameterStore()
-        store, dtype, size, c = self.store, self.dtype, config.input_size, STEM_CHANNELS
+        store, dtype, c = self.store, self.dtype, STEM_CHANNELS
 
         self.stem_conv = Conv2d(store, "stem.conv", 1, c, 3, 1, 1, rng, dtype)
         if config.family == "resnet":
             self.body = [BnRelu(store, "stem.bn", c, dtype)]
             for si, (nblocks, cout) in enumerate(RESNET_STAGES, start=1):
-                size = (size - 1) // 2 + 1  # stride-2 stage entry, 3x3 pad 1
-                if size < 1:
-                    raise ValueError(f"feature map collapses below 1x1 entering stage{si}")
                 for bi in range(nblocks):
                     self.body.append(ResidualBlock(store, f"stage{si}.block{bi}", c, cout,
                                                    1 if bi else 2, rng, dtype))
@@ -251,9 +253,6 @@ class Model:
                 if bi < len(DENSE_LAYERS):
                     self.body.append(Transition(store, f"transition{bi}", c, rng, dtype))
                     c = self.body[-1].out_channels
-                    size = size // 2
-                    if size < 1:
-                        raise ValueError(f"feature map collapses below 1x1 after transition{bi}")
             self.body.append(BnRelu(store, "final.bn", c, dtype))
 
         self.feature_dim = c

@@ -1,12 +1,12 @@
 """Training: Adam optimization, step LR schedule, presets, and run records.
 
 A preset code fully determines {architecture family, checkpoint usage,
-loss, sampler}; everything else (epochs, learning rate, batch size, seed,
-focal gamma) lives in `TrainConfig`. One recipe serves every preset:
-the learning rate is multiplied by `LR_FACTOR` every `LR_STEP` epochs, and
-Adam keeps its published defaults. Runs are deterministic given the
-resolved config: the sampler, augmentation, and initialization all draw
-from purpose-tagged streams of the run seed.
+loss, sampler}; everything else (epochs, learning rate, batch size, seed)
+lives in `TrainConfig`, whose field defaults are the CLI's. One recipe
+serves every preset: the learning rate is multiplied by `LR_FACTOR` every
+`LR_STEP` epochs, and Adam keeps its published defaults. Runs are
+deterministic given the resolved config: the sampler, augmentation, and
+initialization all draw from purpose-tagged streams of the run seed.
 """
 
 from __future__ import annotations
@@ -77,13 +77,12 @@ class TrainConfig:
     num_classes: int = 4
     epochs: int = 20
     base_lr: float = 1e-3
-    batch_size: int = 16
+    batch_size: int = 8
     seed: int = 0
     input_size: int = 64
     checkpoint: str | None = None
     freeze: bool = False
     augment: bool = True
-    focal_gamma: float = 2.0
 
     def __post_init__(self):
         self.preset = canonical_preset(self.preset)
@@ -91,10 +90,7 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not (np.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not (np.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
-            raise ValueError(f"focal_gamma must be non-negative and finite, got {self.focal_gamma}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        _check_batch_size(self.batch_size)
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
         if (self.checkpoint or self.freeze) and not self.spec.pretrained:
@@ -114,6 +110,11 @@ class TrainConfig:
         d["loss"] = self.spec.loss
         d["sampler"] = self.spec.sampler
         return d
+
+
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
 
 
 def lr_at_epoch(epoch: int, config: TrainConfig) -> float:
@@ -186,12 +187,9 @@ class RunRecord:
 
 
 def make_loss(config: TrainConfig):
-    """(logits, targets) -> loss for the preset; the loss function is looked up
-    by name at each call, so a wrapper installed on this module is the one used."""
-    if config.spec.loss == "focal":
-        gamma = config.focal_gamma
-        return lambda logits, targets: focal_loss(logits, targets, gamma)
-    return lambda logits, targets: cross_entropy(logits, targets)
+    """(logits, targets) -> loss for the preset, read from this module when
+    called, so a wrapper installed here before the call is the one returned."""
+    return focal_loss if config.spec.loss == "focal" else cross_entropy
 
 
 def _batches(n: int, batch_size: int):
@@ -204,6 +202,7 @@ def evaluate(model: Model, records, bundle: DataBundle, loss_fn,
     """Eval-mode loss/accuracy/confusion over `records` in file order."""
     if not records:
         raise ValueError("cannot evaluate an empty split")
+    _check_batch_size(batch_size)
     total_loss = 0.0
     all_logits = []
     all_labels = []

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import shlex
@@ -13,7 +14,7 @@ from xraynet.cli import build_parser, main
 from xraynet.dataset import default_mapping, parse_manifest
 from xraynet.nn import build_model, mini_resnet
 from xraynet.rng import derive_stream
-from xraynet.training import parse_metrics_csv
+from xraynet.training import TrainConfig, parse_metrics_csv
 
 
 def run(*argv):
@@ -23,7 +24,7 @@ def run(*argv):
 @pytest.fixture
 def synth_dir(tmp_path):
     out = tmp_path / "data"
-    assert run("synth", "--per-class", "3", "--size", "32", "--seed", "1",
+    assert run("synth", "--counts", "3", "--size", "32", "--seed", "1",
                "--out", str(out)) == 0
     return out
 
@@ -88,7 +89,6 @@ class TestTrain:
 
     @pytest.mark.parametrize("preset,flag,value,named", [
         ("RCE", "--lr", "nan", "base_lr"), ("RCE", "--lr", "inf", "base_lr"),
-        ("RFL", "--gamma", "nan", "gamma"), ("RFL", "--gamma", "inf", "gamma"),
     ])
     def test_non_finite_setting_exit2_and_writes_nothing(self, tmp_path, capsys,
                                                          preset, flag, value, named):
@@ -99,19 +99,24 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_alpha_is_not_an_option(self, tmp_path):
-        # focal alpha is the constant losses.FOCAL_ALPHA
+    @pytest.mark.parametrize("argv", [
+        # focal alpha and gamma are the constants losses.FOCAL_ALPHA and FOCAL_GAMMA
+        ["train", "--preset", "RFL", "--alpha", "0.5", "--synthetic", "2"],
+        ["train", "--preset", "RFL", "--gamma", "0.5", "--synthetic", "2"],
+        # --counts N is the one way to give every class the same count
+        ["synth", "--per-class", "2"],
+    ])
+    def test_removed_option_exit2_and_writes_nothing(self, tmp_path, argv):
         out = tmp_path / "r"
         with pytest.raises(SystemExit) as exc:
-            run("train", "--preset", "RFL", "--alpha", "0.5", "--synthetic", "2",
-                "--out", str(out))
+            run(*argv, "--out", str(out))
         assert exc.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
     def test_synth_seed_outside_64_bits_exit2_and_writes_nothing(self, tmp_path, capsys, seed):
         out = tmp_path / "data"
-        assert run("synth", "--per-class", "1", "--size", "16", "--seed", seed,
+        assert run("synth", "--counts", "1", "--size", "16", "--seed", seed,
                    "--out", str(out)) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
@@ -122,7 +127,6 @@ class TestTrain:
     @pytest.mark.parametrize("argv", [
         ["train", "--preset", "RCE", "--synthetic", "2", "--manifest", "m.csv",
          "--images-root", "d", "--out", "{out}"],
-        ["synth", "--per-class", "3", "--counts", "1,1,1,1", "--out", "{out}"],
         # the synthetic source ignores every manifest flag
         ["train", "--preset", "RCE", "--synthetic", "2", "--size", "16", "--epochs", "1",
          "--batch-size", "4", "--extra-manifest", "/nonexistent.csv",
@@ -170,9 +174,10 @@ class TestTrain:
         assert config["preset"] == "RCE" and config["seed"] == 7
         assert len(parse_metrics_csv(r1 / "metrics.csv")) == 2
 
-    def test_synth_writes_the_synthetic_training_set(self, tmp_path):
+    @pytest.mark.parametrize("counts", ["3", "4,1,3,2"])
+    def test_synth_writes_the_synthetic_training_set(self, tmp_path, counts):
         data = tmp_path / "data"
-        assert run("synth", "--per-class", "3", "--size", "16", "--seed", "5",
+        assert run("synth", "--counts", counts, "--size", "16", "--seed", "5",
                    "--out", str(data)) == 0
         for task in ((), ("--binary", "Bacteria,Virus")):
             args = ("train", "--preset", "RCE", "--size", "16", "--seed", "5",
@@ -180,7 +185,7 @@ class TestTrain:
             disk, memory = tmp_path / f"disk{len(task)}", tmp_path / f"memory{len(task)}"
             assert run(*args, "--manifest", str(data / "manifest.csv"),
                        "--images-root", str(data), "--out", str(disk)) == 0
-            assert run(*args, "--synthetic", "3", "--out", str(memory)) == 0
+            assert run(*args, "--synthetic", counts, "--out", str(memory)) == 0
             assert (disk / "metrics.csv").read_bytes() == (memory / "metrics.csv").read_bytes()
 
     def test_binary_flag(self, tmp_path):
@@ -255,6 +260,14 @@ class TestTransferFlow:
             run("eval", "--checkpoint", str(ckpt), "--synthetic", "2", "--size", "128")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_eval_batch_size_below_one_exit2(self, tmp_path, capsys, batch_size):
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=16), derive_stream(0, "init")), ckpt)
+        assert run("eval", "--checkpoint", str(ckpt), "--synthetic", "2",
+                   "--batch-size", batch_size) == 2
+        assert "batch_size must be positive" in capsys.readouterr().err
+
     def test_eval_missing_checkpoint_exit2(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "nope.xrnc"),
                    "--synthetic", "2") == 2
@@ -293,6 +306,21 @@ def _subcommand_options() -> set[str]:
                       if isinstance(a, argparse._SubParsersAction))
     return {opt for sub in subparsers.choices.values()
             for action in sub._actions for opt in action.option_strings}
+
+
+@pytest.mark.parametrize("command,required", [
+    ("train", ["--preset", "RCE", "--out", "r"]), ("eval", ["--checkpoint", "m.xrnc"])])
+def test_option_defaults_are_train_config_defaults(command, required):
+    # TrainConfig owns each run setting's default; the CLI takes its defaults from there
+    args = build_parser().parse_args([command, *required])
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    options = {"epochs": "epochs", "lr": "base_lr", "size": "input_size",
+               "seed": "seed", "batch_size": "batch_size"}
+    given = {opt: field for opt, field in options.items() if hasattr(args, opt)}
+    assert len(given) == (5 if command == "train" else 2)
+    for opt, field in given.items():
+        assert getattr(args, opt) == defaults[field], opt
+    assert defaults["batch_size"] == 8  # the value README and the benchmark's BATCH use
 
 
 def test_readme_cli_examples_parse():

@@ -47,9 +47,24 @@ class TestBuild:
         for name in a.store.params:
             npt.assert_array_equal(a.store.params[name].data, b.store.params[name].data)
 
-    def test_feature_collapse_names_offending_stage(self):
-        with pytest.raises(ValueError, match="transition2"):
-            build_model(mini_densenet(input_size=2), derive_stream(0, "init"))
+    def test_too_small_input_rejected_at_config(self):
+        # two densenet transitions each halve the map; a resnet stage keeps 1 px at 1 px
+        with pytest.raises(ValueError, match="densenet needs inputs of at least 4 px, got 2"):
+            mini_densenet(input_size=2)
+        with pytest.raises(ValueError, match="densenet needs inputs of at least 4 px, got 3"):
+            ArchitectureConfig("densenet", 3)
+        with pytest.raises(ValueError, match="resnet needs inputs of at least 1 px, got 0"):
+            ArchitectureConfig("resnet", 0)
+
+    @pytest.mark.parametrize("family,smallest", [("resnet", 1), ("densenet", 4)])
+    def test_buildable_input_sizes(self, family, smallest):
+        for size in range(-1, 7):
+            if size < smallest:
+                with pytest.raises(ValueError, match=f"at least {smallest} px"):
+                    build_model(ArchitectureConfig(family, size), derive_stream(0, "init"))
+            else:
+                model = build_model(ArchitectureConfig(family, size), derive_stream(0, "init"))
+                assert model.forward(small_input((1, 1, size, size))).shape == (1, 4)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

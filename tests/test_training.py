@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xraynet import training
 from xraynet.autodiff import Variable
 from xraynet.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from xraynet.dataset import DataBundle, SampleRecord
@@ -159,13 +160,17 @@ class TestPresets:
         with pytest.raises(ValueError, match="base_lr"):
             TrainConfig(preset="RCE", base_lr=lr)
 
-    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
-    def test_bad_focal_gamma_rejected(self, gamma):
-        with pytest.raises(ValueError, match="gamma"):
-            TrainConfig(preset="RFL", focal_gamma=gamma)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_make_loss_is_the_modules_loss_function(self, preset, monkeypatch):
+        # focal gamma is the constant losses.FOCAL_GAMMA, so no closure binds a
+        # setting; a function installed on the module before the call is returned
+        name = "focal_loss" if PRESETS[preset].loss == "focal" else "cross_entropy"
+        assert make_loss(cfg(preset)) is getattr(training, name)
+        monkeypatch.setattr(training, name, lambda logits, targets: None)
+        assert make_loss(cfg(preset)) is getattr(training, name)
 
-    def test_focal_gamma_zero_accepted(self):
-        assert TrainConfig(preset="RFL", focal_gamma=0.0).focal_gamma == 0.0
+    def test_no_focal_gamma_field(self):
+        assert "focal_gamma" not in TrainConfig(preset="RFL").to_dict()
 
     @pytest.mark.parametrize("preset", [p for p, spec in PRESETS.items() if not spec.pretrained])
     def test_scratch_preset_rejects_checkpoint(self, preset):
@@ -223,6 +228,13 @@ class TestEpochLoop:
         model = build_model(mini_resnet(4, 32), derive_stream(5, "init"))
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, [], bundle, make_loss(cfg()), 4)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluate_rejects_batch_size_below_one(self, batch_size):
+        bundle = synthetic_bundle(2, size=32, seed=5)
+        model = build_model(mini_resnet(4, 32), derive_stream(5, "init"))
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            evaluate(model, bundle.test, bundle, make_loss(cfg()), batch_size)
 
     def test_epoch_metrics_deterministic(self):
         def run():
