@@ -50,10 +50,6 @@ class Variable:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 

@@ -139,14 +139,14 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return state, meta
 
 
-def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> dict:
+def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
     """Load a checkpoint into `model`, returning its metadata.
 
     The family that `meta.arch` records must be the model's, and every tensor
     must match the model by name and shape; all are checked before any is
     copied, so a rejected file leaves the model untouched. With
-    `allow_head_mismatch`, classifier-head tensors that are missing or
-    differently shaped are skipped (the model keeps its current head).
+    `backbone_only`, the file's classifier-head tensors are never read: the
+    model keeps its own head, whatever the file's class count.
     """
     state, meta = read_checkpoint(path)
     family = meta.get("arch", {}).get("family", model.config.family)
@@ -161,15 +161,12 @@ def load_checkpoint(model: Model, path, allow_head_mismatch: bool = False) -> di
         raise CheckpointError(f"{path}: tensors not present in the target model: {extra}")
     copies = []
     for name, dst in targets.items():
+        if backbone_only and name.startswith(HEAD_PREFIX):
+            continue
         src = state.get(name)
-        is_head = name.startswith(HEAD_PREFIX)
         if src is None:
-            if is_head and allow_head_mismatch:
-                continue
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if src.shape != dst.shape:
-            if is_head and allow_head_mismatch:
-                continue
             raise CheckpointError(
                 f"{path}: shape mismatch for {name!r}: file {src.shape} vs model {dst.shape}")
         copies.append((dst, src))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, model_from_checkpoint
+from .checkpoint import model_from_checkpoint
 from .dataset import (CLASS_NAMES, ClassLabel, ManifestConfig, SPLITS, class_distribution,
                       default_mapping, from_manifest, parse_manifest)
 from .images import intensity_histogram, load_image
@@ -28,28 +28,24 @@ HIST_SAMPLES = 2  # per-sample histogram files `stats` writes for each class
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_binary(text: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise UsageError(f"--binary expects two classes, got {text!r}")
+        raise ValueError(f"--binary expects two classes, got {text!r}")
     out = []
     for p in parts:
         if p.isdigit():
             v = int(p)
             if v >= len(CLASS_NAMES):
-                raise UsageError(f"class index {v} out of range 0..{len(CLASS_NAMES) - 1}")
+                raise ValueError(f"class index {v} out of range 0..{len(CLASS_NAMES) - 1}")
         else:
             try:
                 v = int(ClassLabel[p.capitalize()])
             except KeyError:
-                raise UsageError(f"unknown class {p!r}; expected one of {CLASS_NAMES}") from None
+                raise ValueError(f"unknown class {p!r}; expected one of {CLASS_NAMES}") from None
         out.append(v)
     if out[0] == out[1]:
-        raise UsageError("--binary needs two distinct classes")
+        raise ValueError("--binary needs two distinct classes")
     return out[0], out[1]
 
 
@@ -67,7 +63,7 @@ def _load_mapping(path: str | None) -> ManifestConfig:
         return default_mapping()
     p = Path(path)
     if not p.exists():
-        raise UsageError(f"mapping file not found: {p}")
+        raise ValueError(f"mapping file not found: {p}")
     return ManifestConfig.from_json(p)
 
 
@@ -78,25 +74,25 @@ def _build_bundle(args):
                       "--extra-images-root": args.extra_images_root}
     if args.synthetic is not None and any(manifest_flags.values()):
         given = ", ".join(f for f, v in manifest_flags.items() if v)
-        raise UsageError(f"--synthetic ignores manifest flags: {given}")
+        raise ValueError(f"--synthetic ignores manifest flags: {given}")
     if args.extra_images_root and not args.extra_manifest:
-        raise UsageError("--extra-images-root needs --extra-manifest")
+        raise ValueError("--extra-images-root needs --extra-manifest")
     binary = _parse_binary(args.binary) if args.binary else None
     if args.synthetic is not None:
         return synthetic_bundle(args.synthetic, size=args.size, seed=args.seed, binary=binary)
     if args.manifest:
         manifest = Path(args.manifest)
         if not manifest.exists():
-            raise UsageError(f"manifest not found: {manifest}")
+            raise ValueError(f"manifest not found: {manifest}")
         if not args.images_root:
-            raise UsageError("--images-root is required with --manifest")
+            raise ValueError("--images-root is required with --manifest")
         extra = args.extra_manifest
         if extra and not Path(extra).exists():
-            raise UsageError(f"extra manifest not found: {extra}")
+            raise ValueError(f"extra manifest not found: {extra}")
         return from_manifest(manifest, args.images_root, _load_mapping(args.mapping),
                              input_size=args.size, seed=args.seed, binary=binary,
                              extra_manifest=extra, extra_images_root=args.extra_images_root)
-    raise UsageError("provide a data source: --synthetic N or --manifest PATH")
+    raise ValueError("provide a data source: --synthetic N or --manifest PATH")
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,7 @@ def _build_bundle(args):
 def cmd_stats(args) -> int:
     manifest = Path(args.manifest)
     if not manifest.exists():
-        raise UsageError(f"manifest not found: {manifest}")
+        raise ValueError(f"manifest not found: {manifest}")
     mapping = _load_mapping(args.mapping)
     result = parse_manifest(manifest.read_bytes(), mapping)
     out = Path(args.out)
@@ -165,12 +161,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
+        raise ValueError(f"checkpoint not found: {ckpt}")
     model, meta = model_from_checkpoint(ckpt)
     args.size = meta["arch"]["input_size"]  # eval has no --size: the checkpoint fixes it
     bundle = _build_bundle(args)
     if bundle.num_classes != model.config.num_classes:
-        raise UsageError(f"checkpoint has {model.config.num_classes} classes "
+        raise ValueError(f"checkpoint has {model.config.num_classes} classes "
                          f"but the data source has {bundle.num_classes}")
     records = {"train": bundle.train, "val": bundle.val, "test": bundle.test}[args.split]
     loss, acc, conf = evaluate(model, records, bundle, cross_entropy, args.batch_size)
@@ -200,7 +196,7 @@ def cmd_export_curves(args) -> int:
     run = Path(args.run)
     metrics = run / "metrics.csv"
     if not metrics.exists():
-        raise UsageError(f"no metrics.csv under {run}")
+        raise ValueError(f"no metrics.csv under {run}")
     history = parse_metrics_csv(metrics)
     acc_lines = ["epoch,train_acc,val_acc"]
     loss_lines = ["epoch,train_loss,val_loss"]
@@ -291,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CheckpointError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingAborted as e:

@@ -282,13 +282,15 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
                                 ("test", bundle.test)):
         if not records:
             raise ValueError(f"{split_name} split is empty; cannot run the configured protocol")
+    if config.spec.sampler == "weighted":
+        compute_class_weights(bundle.train_class_counts())  # rejects an empty train class
 
     start = time.monotonic()
     # a rejected checkpoint raises here, before the run directory exists
     arch = ArchitectureConfig(config.spec.family, config.input_size, config.num_classes)
     model = build_model(arch, derive_stream(config.seed, "init"))
     if config.spec.pretrained:
-        load_checkpoint(model, config.checkpoint, allow_head_mismatch=True)
+        load_checkpoint(model, config.checkpoint, backbone_only=True)
     if config.freeze:
         freeze_backbone(model)
     if run_dir is not None:

@@ -8,7 +8,7 @@ import pytest
 from xraynet.checkpoint import (MAGIC, VERSION, CheckpointError, _meta_tensors, _pack_tensor,
                                 load_checkpoint, model_from_checkpoint, read_checkpoint,
                                 save_checkpoint)
-from xraynet.nn import build_model, mini_densenet, mini_resnet, replace_head
+from xraynet.nn import HEAD_PREFIX, build_model, mini_densenet, mini_resnet, replace_head
 from xraynet.rng import derive_stream
 
 
@@ -90,16 +90,24 @@ def test_head_mismatch_requires_flag(tmp_path, resnet_model):
         load_checkpoint(two_class, path)
 
 
-def test_head_mismatch_skips_head_when_allowed(tmp_path, resnet_model):
+@pytest.mark.parametrize("num_classes", [4, 2], ids=["same_shape", "mismatched_shape"])
+def test_backbone_only_keeps_the_model_head(tmp_path, resnet_model, num_classes):
+    # shift every source tensor, buffers and zero-initialised biases included,
+    # so no tensor of the target equals the file's before the load
+    for arr in resnet_model.store.state_tensors().values():
+        arr += 0.25
     path = tmp_path / "model.xrnc"
     save_checkpoint(resnet_model, path)
-    two_class = build_model(mini_resnet(num_classes=2, input_size=32), derive_stream(2, "init"))
-    fresh_head = two_class.store.params["head.weight"].data.copy()
-    load_checkpoint(two_class, path, allow_head_mismatch=True)
-    npt.assert_array_equal(two_class.store.params["head.weight"].data, fresh_head)
-    npt.assert_array_equal(two_class.store.params["stem.conv.kernel"].data,
-                           resnet_model.store.params["stem.conv.kernel"].data)
-    assert two_class.config.num_classes == 2
+    target = build_model(mini_resnet(num_classes=num_classes, input_size=32),
+                         derive_stream(2, "init"))
+    head = {n: a.copy() for n, a in target.store.state_tensors().items()
+            if n.startswith(HEAD_PREFIX)}
+    assert sorted(head) == ["head.bias", "head.weight"]
+    load_checkpoint(target, path, backbone_only=True)
+    source = resnet_model.store.state_tensors()
+    for name, arr in target.store.state_tensors().items():
+        npt.assert_array_equal(arr, head[name] if name in head else source[name])
+    assert target.config.num_classes == num_classes
 
 
 def test_family_mismatch_rejected_before_any_copy(tmp_path, resnet_model):

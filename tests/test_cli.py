@@ -80,6 +80,17 @@ class TestTrain:
         assert "checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weighted_preset_with_empty_train_class_exit2_and_writes_nothing(self, tmp_path,
+                                                                               capsys):
+        ckpt = tmp_path / "backbone.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=16), derive_stream(0, "init")), ckpt)
+        out = tmp_path / "r"
+        assert run("train", "--preset", "PRCEW", "--checkpoint", str(ckpt),
+                   "--synthetic", "3,0,3,3", "--size", "16", "--epochs", "1",
+                   "--batch-size", "4", "--out", str(out)) == 2
+        assert "class 1 has count 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_outside_64_bits_exit2(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert run("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",
@@ -206,7 +217,7 @@ TRAJECTORY_PINS = {
     "RFL": (0xF5C12B4F, 0x1C9D9116),
     "DCE": (0x9DA86E80, 0xA614AB89),
     "RCE": (0x5C76862D, 0x22821AEA),
-    "PRFL": (0x57521C94, 0xAE3A98A1),
+    "PRFL": (0x454372E4, 0x5F2C2920),
 }
 
 

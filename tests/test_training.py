@@ -320,6 +320,22 @@ class TestFit:
         assert not np.array_equal(trained.store.params["head.weight"].data,
                                   pre.model.store.params["head.weight"].data)
 
+    def test_pretrained_run_ignores_the_checkpoint_head(self, tmp_path):
+        # same class count in file and run: the head still comes from the run's
+        # "init" stream, so checkpoints that differ only in head.* train alike
+        source = build_model(mini_resnet(4, 16), derive_stream(20, "init"))
+        save_checkpoint(source, tmp_path / "a.xrnc")
+        source.store.params["head.weight"].data += 1.0
+        source.store.params["head.bias"].data += 1.0
+        save_checkpoint(source, tmp_path / "b.xrnc")
+        bundle = synthetic_bundle(2, size=16, seed=21)
+        for name in ("a", "b"):
+            fit(cfg(preset="PRCE", input_size=16, epochs=2, seed=21,
+                    checkpoint=str(tmp_path / f"{name}.xrnc")), bundle, run_dir=tmp_path / name)
+        for artifact in ("metrics.csv", "model.xrnc"):
+            assert (tmp_path / "a" / artifact).read_bytes() == \
+                (tmp_path / "b" / artifact).read_bytes()
+
     def test_paired_runs_weighted_sampler_lifts_minority_recall(self, tmp_path):
         # frozen configuration where the weighted sampler strictly beats the
         # plain run on minority recall at an equal seed and epoch budget
