@@ -28,6 +28,8 @@ from .rng import Pcg32
 MAGIC = b"XRNC"
 VERSION = 1
 META_PREFIX = "meta."
+# the run metadata records every file must carry, by shape
+META_SHAPES = {"meta.arch": (4,), "meta.epoch": (1,), "meta.seed": (4,)}
 
 
 class CheckpointError(ValueError):
@@ -87,7 +89,11 @@ def save_checkpoint(model: Model, path, epoch: int = 0, seed: int = 0) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Parse a checkpoint file into (state tensors, metadata)."""
+    """Parse a checkpoint file into (state tensors, metadata).
+
+    The one reader of ``meta.*``: each `META_SHAPES` record must be present at
+    its shape and `meta.arch` must name a family; `meta.digest` is ignored.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 16:
         raise CheckpointError(f"{path}: truncated checkpoint (only {len(blob)} bytes)")
@@ -120,41 +126,31 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if off != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - off} trailing bytes after tensor records")
 
-    meta: dict = {}
+    for name, shape in META_SHAPES.items():
+        rec = tensors.get(name)
+        if rec is None or rec.shape != shape:
+            raise CheckpointError(f"{path}: metadata record {name} must have shape {shape}, "
+                                  f"found {None if rec is None else rec.shape}")
+    arch = tensors["meta.arch"]
+    if arch[0] not in range(len(FAMILIES)):
+        raise CheckpointError(f"{path}: unknown family code {arch[0]} in meta.arch")
+    limbs = tensors["meta.seed"].astype(np.int64)
+    meta = {
+        "epoch": int(tensors["meta.epoch"][0]),
+        "seed": int(sum(int(limbs[i]) << (16 * i) for i in range(4))),
+        "arch": {
+            "family": FAMILIES[int(arch[0])],
+            "input_channels": int(arch[1]),
+            "input_size": int(arch[2]),
+            "num_classes": int(arch[3]),
+        },
+    }
     state = {n: a for n, a in tensors.items() if not n.startswith(META_PREFIX)}
-    if "meta.epoch" in tensors:
-        meta["epoch"] = int(tensors["meta.epoch"][0])
-    if "meta.seed" in tensors:
-        limbs = tensors["meta.seed"].astype(np.int64)
-        meta["seed"] = int(sum(int(limbs[i]) << (16 * i) for i in range(4)))
-    if "meta.arch" in tensors:
-        a = tensors["meta.arch"]
-        code = int(a[0])
-        meta["arch"] = {
-            "family": FAMILIES[code] if 0 <= code < len(FAMILIES) else "unknown",
-            "input_channels": int(a[1]),
-            "input_size": int(a[2]),
-            "num_classes": int(a[3]),
-        }
     return state, meta
 
 
-def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
-    """Load a checkpoint into `model`, returning its metadata.
-
-    The family that `meta.arch` records must be the model's, and every tensor
-    must match the model by name and shape; all are checked before any is
-    copied, so a rejected file leaves the model untouched. With
-    `backbone_only`, the file's classifier-head tensors are never read: the
-    model keeps its own head, whatever the file's class count.
-    """
-    state, meta = read_checkpoint(path)
-    family = meta.get("arch", {}).get("family", model.config.family)
-    if family != model.config.family:
-        raise CheckpointError(
-            f"{path}: checkpoint holds a {family} backbone, the target model is a "
-            f"{model.config.family}")
-
+def _copy_state(model: Model, state: dict[str, np.ndarray], path,
+                backbone_only: bool = False) -> None:
     targets = model.store.state_tensors()
     extra = sorted(set(state) - set(targets))
     if extra:
@@ -172,16 +168,32 @@ def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
         copies.append((dst, src))
     for dst, src in copies:
         np.copyto(dst, src.astype(dst.dtype, copy=False))
+
+
+def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
+    """Load a checkpoint into `model`, returning its metadata.
+
+    The family that `meta.arch` records must be the model's, and every tensor
+    must match the model by name and shape; all are checked before any is
+    copied, so a rejected file leaves the model untouched. With
+    `backbone_only`, the file's classifier-head tensors are never read: the
+    model keeps its own head, whatever the file's class count.
+    """
+    state, meta = read_checkpoint(path)
+    family = meta["arch"]["family"]
+    if family != model.config.family:
+        raise CheckpointError(
+            f"{path}: checkpoint holds a {family} backbone, the target model is a "
+            f"{model.config.family}")
+    _copy_state(model, state, path, backbone_only)
     return meta
 
 
 def model_from_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a Mini-preset model described by a checkpoint's metadata and load it."""
-    _, meta = read_checkpoint(path)
-    arch = meta.get("arch")
-    if not arch or arch["family"] not in FAMILIES:
-        raise CheckpointError(f"{path}: checkpoint carries no usable architecture metadata")
+    state, meta = read_checkpoint(path)
+    arch = meta["arch"]
     config = ArchitectureConfig(arch["family"], arch["input_size"], arch["num_classes"])
     model = Model(config, Pcg32(0, 0))
-    load_checkpoint(model, path)
+    _copy_state(model, state, path)
     return model, meta

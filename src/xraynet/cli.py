@@ -1,4 +1,4 @@
-"""Command-line surface: stats, synth, train, eval, gradcheck, curves.
+"""Command-line surface: stats, synth, train, eval, gradcheck.
 
 Exit codes: 0 success, 1 internal/numeric failure, 2 usage or configuration
 error. Every training run echoes its fully resolved configuration (seed
@@ -21,7 +21,7 @@ from .images import intensity_histogram, load_image
 from .losses import cross_entropy
 from .metrics import per_class_from_confusion
 from .synth import synthetic_bundle, write_synthetic_dataset
-from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit, parse_metrics_csv
+from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit
 from .verification import run_scope, settings
 
 HIST_SAMPLES = 2  # per-sample histogram files `stats` writes for each class
@@ -105,15 +105,13 @@ def cmd_stats(args) -> int:
         raise ValueError(f"manifest not found: {manifest}")
     mapping = _load_mapping(args.mapping)
     result = parse_manifest(manifest.read_bytes(), mapping)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     counts = class_distribution(result.records)
     lines = ["class,split,count"]
     for ci, name in enumerate(CLASS_NAMES):
         for si, split in enumerate(SPLITS):
             lines.append(f"{name},{split},{counts[ci, si]}")
-    (out / "class_distribution.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = {"class_distribution.csv": lines}
     print(f"parsed {len(result.records)} records ({result.skip_count} rows skipped)")
     for ci, name in enumerate(CLASS_NAMES):
         print(f"  {name}: {int(counts[ci].sum())} (train {counts[ci, 0]}, test {counts[ci, 1]})")
@@ -121,20 +119,24 @@ def cmd_stats(args) -> int:
     if args.images_root:
         root = Path(args.images_root)
         per_class: dict[int, int] = {}
-        written = 0
         for rec in result.records:
             k = per_class.get(rec.label, 0)
             if k >= HIST_SAMPLES:
                 continue
-            img = load_image(root / rec.image_ref)
-            hist = intensity_histogram(img)
+            hist = intensity_histogram(load_image(root / rec.image_ref))
             name = CLASS_NAMES[rec.label]
             rows = ["class,bin,count"]
             rows.extend(f"{name},{b},{hist[b]}" for b in range(256))
-            (out / f"hist_{name}_{k}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            files[f"hist_{name}_{k}.csv"] = rows
             per_class[rec.label] = k + 1
-            written += 1
-        print(f"wrote {written} per-sample histogram files")
+
+    # every image has loaded before --out is made, so a failed load writes nothing
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for fname, rows in files.items():
+        (out / fname).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if args.images_root:
+        print(f"wrote {len(files) - 1} per-sample histogram files")
     return 0
 
 
@@ -189,23 +191,6 @@ def cmd_gradcheck(args) -> int:
     if failed:
         print(f"gradcheck failed at threshold {threshold:g}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_export_curves(args) -> int:
-    run = Path(args.run)
-    metrics = run / "metrics.csv"
-    if not metrics.exists():
-        raise ValueError(f"no metrics.csv under {run}")
-    history = parse_metrics_csv(metrics)
-    acc_lines = ["epoch,train_acc,val_acc"]
-    loss_lines = ["epoch,train_loss,val_loss"]
-    for m in history:
-        acc_lines.append(f"{m.epoch},{m.train_acc!r},{m.val_acc!r}")
-        loss_lines.append(f"{m.epoch},{m.train_loss!r},{m.val_loss!r}")
-    (run / "curves_accuracy.csv").write_text("\n".join(acc_lines) + "\n", encoding="utf-8")
-    (run / "curves_loss.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
-    print(f"wrote curves_accuracy.csv and curves_loss.csv under {run}")
     return 0
 
 
@@ -275,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--f64", action="store_true", help="float64 verification mode")
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("export-curves", help="re-emit accuracy/loss curves from a run directory")
-    p.add_argument("--run", required=True)
-    p.set_defaults(func=cmd_export_curves)
     return parser
 
 

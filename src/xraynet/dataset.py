@@ -72,12 +72,16 @@ class ManifestConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ManifestConfig":
-        rules = tuple(LabelRule(dict(r["when"]), r["label"]) for r in d["label_rules"])
+        try:
+            rules = tuple(LabelRule(dict(r["when"]), r["label"]) for r in d["label_rules"])
+            config = cls(image_column=d["image_column"], split_column=d["split_column"],
+                         split_values=dict(d["split_values"]), label_rules=rules)
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"malformed mapping ({type(e).__name__}: {e})") from None
         for r in rules:
             if r.label not in CLASS_NAMES:
                 raise ValueError(f"rule maps to unknown label {r.label!r}")
-        return cls(image_column=d["image_column"], split_column=d["split_column"],
-                   split_values=dict(d["split_values"]), label_rules=rules)
+        return config
 
     @classmethod
     def from_json(cls, path) -> "ManifestConfig":

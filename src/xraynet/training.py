@@ -57,14 +57,11 @@ PRESETS: dict[str, Preset] = {
     "DCE": Preset("densenet", False, "ce", "plain"),
 }
 
-PRESET_ALIASES = {"PRCW": "PRCEW"}
-
 
 def canonical_preset(code: str) -> str:
     code = code.upper()
-    code = PRESET_ALIASES.get(code, code)
     if code not in PRESETS:
-        valid = ", ".join(sorted(PRESETS) + sorted(PRESET_ALIASES))
+        valid = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {code!r}; valid codes: {valid}")
     return code
 

@@ -194,21 +194,46 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
                            np.full(16, 0.25, dtype=np.float32))
 
 
-def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model):
-    # every tensor of a differently seeded model, but the last buffer has one
-    # entry too many: the shape check fires after all the others have passed
+@pytest.mark.parametrize("defect", ["last_shape", "no_metadata", "short_arch",
+                                    "unknown_family"])
+def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
+    # every tensor of a differently seeded model, with one defect: the last
+    # buffer's shape, checked after all the others have passed, or a metadata
+    # record, checked before any tensor
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
     tensors = dict(source.store.state_tensors())
     last = list(tensors)[-1]
-    tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
     tensors.update(_meta_tensors(source, 0, 0))
+    match = "meta.arch"
+    if defect == "last_shape":
+        tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
+        match = f"shape mismatch for '{last}'"
+    elif defect == "no_metadata":
+        tensors = dict(source.store.state_tensors())
+    elif defect == "short_arch":
+        tensors["meta.arch"] = tensors["meta.arch"][:2]
+    else:
+        tensors["meta.arch"][0] = 7
     path = tmp_path / "bad.xrnc"
     _write_raw(path, tensors)
     before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
-    with pytest.raises(CheckpointError, match=f"shape mismatch for '{last}'"):
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(resnet_model, path)
     for name, arr in resnet_model.store.state_tensors().items():
         npt.assert_array_equal(arr, before[name])
+
+
+def test_model_from_checkpoint_reads_the_file_once(tmp_path, resnet_model, monkeypatch):
+    import xraynet.checkpoint as ckpt_module
+
+    path = tmp_path / "model.xrnc"
+    save_checkpoint(resnet_model, path)
+    calls = []
+    read = ckpt_module.read_checkpoint
+    monkeypatch.setattr(ckpt_module, "read_checkpoint",
+                        lambda p: calls.append(p) or read(p))
+    model_from_checkpoint(path)
+    assert calls == [path]
 
 
 def test_failed_write_keeps_previous_file(tmp_path, resnet_model, monkeypatch):

@@ -60,6 +60,29 @@ class TestStats:
         assert run("stats", "--manifest", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")) == 2
 
+    def test_unloadable_image_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--counts", "2", "--size", "16", "--out", str(data)) == 0
+        (data / "images" / "train_c1_0000.pgm").unlink()
+        out = tmp_path / "stats"
+        assert run("stats", "--manifest", str(data / "manifest.csv"),
+                   "--images-root", str(data), "--out", str(out)) == 2
+        assert "train_c1_0000.pgm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mapping", [
+        {"image_column": "X_ray_image_name", "split_column": "Dataset_type",
+         "split_values": {"TRAIN": "Train", "TEST": "Test"}},
+        [{"label_rules": []}]], ids=["no_label_rules", "json_list"])
+    def test_malformed_mapping_exit2(self, tmp_path, capsys, mapping):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("X_ray_image_name,Label,Dataset_type\n")
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(mapping))
+        assert run("stats", "--manifest", str(manifest), "--mapping", str(path),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "malformed mapping" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_unknown_preset_exit2(self, tmp_path, capsys):
@@ -292,24 +315,6 @@ class TestGradcheckCommand:
         monkeypatch.setattr(verification, "F32_THRESHOLD", 1e-12)
         assert run("gradcheck", "--scope", "losses") == 1
         assert "FAIL" in capsys.readouterr().out
-
-
-class TestExportCurves:
-    def test_curves_match_metrics(self, tmp_path):
-        out = tmp_path / "run"
-        assert run("train", "--preset", "RCE", "--synthetic", "2", "--size", "32",
-                   "--epochs", "2", "--batch-size", "4", "--seed", "11",
-                   "--out", str(out)) == 0
-        assert run("export-curves", "--run", str(out)) == 0
-        hist = parse_metrics_csv(out / "metrics.csv")
-        acc_rows = (out / "curves_accuracy.csv").read_text().strip().splitlines()[1:]
-        for m, row in zip(hist, acc_rows):
-            e, tr, va = row.split(",")
-            assert int(e) == m.epoch
-            assert float(tr) == m.train_acc and float(va) == m.val_acc
-
-    def test_missing_run_dir_exit2(self, tmp_path):
-        assert run("export-curves", "--run", str(tmp_path / "void")) == 2
 
 
 def _subcommand_options() -> set[str]:

@@ -138,9 +138,11 @@ class TestPresets:
         assert (spec.family, spec.pretrained, spec.loss, spec.sampler) == \
             ("resnet", False, "ce", "plain")
 
-    def test_prcw_alias(self):
-        assert canonical_preset("PRCW") == "PRCEW"
+    def test_codes_fold_case_and_have_no_aliases(self):
         assert canonical_preset("prfl") == "PRFL"
+        with pytest.raises(ValueError, match="'PRCW'; valid codes: DCE, PDCXCE, PDCXFL, "
+                                             "PRCE, PRCEW, PRFL, RCE, RFL$"):
+            canonical_preset("PRCW")
 
     def test_unknown_preset_lists_valid_codes(self):
         with pytest.raises(ValueError, match="PDCXCE"):
