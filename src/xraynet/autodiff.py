@@ -10,15 +10,21 @@ so calling it twice without zeroing doubles the gradients.
 
 The op set is exactly what small residual/dense image classifiers require:
 conv2d, batch norm (one fused node with a closed-form backward), relu,
-pooling, linear, add and channel concat. Each loss in `losses.py` is one
-`_op` node over the plain-array `_log_softmax`. No op broadcasts: `add` and
-the probe-only `bmul` require equal shapes, and the probe-only `sum_axes`
-sums everything.
+pooling, linear, add and channel concat, plus the two halves of a dense
+block's train-mode batch norm: `normalize`, once per channel chunk, and
+`affine_relu`, once per layer over the chunks it reads. Each loss in
+`losses.py` is one `_op` node over the plain-array `_log_softmax`. No op
+broadcasts: `add` and the probe-only `bmul` require equal shapes, and the
+probe-only `sum_axes` sums everything.
+
+Inside `with no_grad():` every op returns a bare `Variable` that records no
+edges, so a pass that never calls `backward` keeps no graph alive.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +35,9 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 BN_EPS = 1e-5       # added to the variance before the inverse square root
 BN_MOMENTUM = 0.1   # weight of each batch's statistics in the running buffers
 POOL = 2            # every pooling window is POOL x POOL at stride POOL
+_BN_AXES = (0, 2, 3)  # batch-norm statistics reduce over batch and space
+
+_grad_enabled = True  # False inside `no_grad`
 
 
 class Variable:
@@ -74,7 +83,20 @@ def constant(data) -> Variable:
     return Variable(data, requires_grad=False)
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block: each op returns a Variable without edges."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _op(data: np.ndarray, edges: Iterable[Edge]) -> Variable:
+    if not _grad_enabled:
+        return Variable(data)
     kept = tuple((v, f) for v, f in edges if v.requires_grad)
     out = Variable(data, requires_grad=bool(kept))
     out._edges = kept
@@ -331,6 +353,31 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
 
 
+def _batch_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Train-mode (mean, biased variance, inv = 1/sqrt(var+BN_EPS), x^) of
+    NCHW `xd`, the first three shaped (1, C, 1, 1)."""
+    if xd.ndim != 4:
+        raise ValueError(f"batch_norm: expected NCHW input, got shape {xd.shape}")
+    n, _, h, w = xd.shape
+    if n * h * w < 2:
+        raise ValueError("batch_norm: train mode needs at least 2 values per channel")
+    mu = xd.mean(axis=_BN_AXES, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=_BN_AXES, keepdims=True)
+    inv = (var + xd.dtype.type(BN_EPS)) ** xd.dtype.type(-0.5)
+    return mu, var, inv, xc * inv
+
+
+def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
+                 mu: np.ndarray, var: np.ndarray, m: int) -> None:
+    """Fold a batch's mean and biased variance over `m` values per channel
+    into the running buffers in place, the variance unbiased."""
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * (var.reshape(-1) * (m / (m - 1.0)))
+
+
 def batch_norm(x: Variable, gamma: Variable, beta: Variable,
                running_mean: np.ndarray, running_var: np.ndarray,
                train: bool, update_running: bool = True) -> Variable:
@@ -351,23 +398,11 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(
             f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
-    axes = (0, 2, 3)
+    axes = _BN_AXES
     if train:
-        m = n * h * w
-        if m < 2:
-            raise ValueError("batch_norm: train mode needs at least 2 values per channel")
-        mu = xd.mean(axis=axes, keepdims=True)
-        xc = xd - mu
-        var = (xc * xc).mean(axis=axes, keepdims=True)
-        inv = (var + xd.dtype.type(BN_EPS)) ** xd.dtype.type(-0.5)
-        xhat = xc * inv
+        mu, var, inv, xhat = _batch_stats(xd)
         if update_running:
-            bm = mu.reshape(c)
-            bv = var.reshape(c) * (m / (m - 1.0))  # unbiased for the running buffer
-            running_mean *= (1.0 - BN_MOMENTUM)
-            running_mean += BN_MOMENTUM * bm
-            running_var *= (1.0 - BN_MOMENTUM)
-            running_var += BN_MOMENTUM * bv
+            fold_running(running_mean, running_var, mu, var, n * h * w)
     else:
         inv = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(1, c, 1, 1).astype(xd.dtype)
         shift = running_mean.reshape(1, c, 1, 1).astype(xd.dtype)
@@ -387,6 +422,57 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
         (gamma, lambda g: (g * xhat).sum(axis=axes)),
         (beta, lambda g: g.sum(axis=axes)),
     ])
+
+
+def normalize(x: Variable) -> tuple[Variable, np.ndarray, np.ndarray]:
+    """Train-mode batch norm without the affine: the node x^ plus the batch
+    mean and biased variance for `fold_running`.
+
+    A channel's statistics do not depend on the channels beside it, so a
+    dense block normalizes each chunk once for every layer that reads it.
+    The VJP is batch norm's at gamma = 1, dx = inv * (h - mean(h) -
+    x^*mean(h*x^)), applied once to h, the sum of every reader's gradient.
+    """
+    mu, var, inv, xhat = _batch_stats(x.data)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        return inv * (g - g.mean(axis=_BN_AXES, keepdims=True)
+                      - xhat * (g * xhat).mean(axis=_BN_AXES, keepdims=True))
+
+    return _op(xhat, [(x, vjp)]), mu, var
+
+
+def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Variable:
+    """relu(x * gamma + beta) per channel over the channel concatenation of
+    the NCHW `xs`, as one node with an edge to each x, gamma and beta.
+
+    Over `normalize` outputs this is a train-mode batch norm + relu that
+    keeps neither the concatenation nor the pre-relu values, only the relu
+    mask; each x's VJP is gamma * g on its own channels.
+    """
+    xd = xs[0].data if len(xs) == 1 else np.concatenate([v.data for v in xs], axis=1)
+    c = xd.shape[1]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ValueError(
+            f"affine_relu: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
+    gd = gamma.data.reshape(1, c, 1, 1)
+    z = xd * gd + beta.data.reshape(1, c, 1, 1)
+    mask = z > 0
+    out = np.where(mask, z, z.dtype.type(0))
+
+    def masked(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return g[:, lo:hi] * mask[:, lo:hi]
+
+    edges, bounds, lo = [], [], 0
+    for v in xs:
+        hi = lo + v.data.shape[1]
+        edges.append((v, lambda g, lo=lo, hi=hi: masked(g, lo, hi) * gd[:, lo:hi]))
+        bounds.append((v, lo, hi))
+        lo = hi
+    edges.append((gamma, lambda g: np.concatenate(
+        [(masked(g, lo, hi) * v.data).sum(axis=_BN_AXES) for v, lo, hi in bounds])))
+    edges.append((beta, lambda g: masked(g, 0, c).sum(axis=_BN_AXES)))
+    return _op(out, edges)
 
 
 def _log_softmax(xd: np.ndarray) -> np.ndarray:

@@ -72,10 +72,16 @@ class ManifestConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ManifestConfig":
+        def str_map(v) -> dict[str, str]:
+            # dict() would also take a list of pairs, e.g. ["Lb"] as {"L": "b"}
+            if not (isinstance(v, dict) and all(isinstance(x, str) for x in (*v, *v.values()))):
+                raise TypeError(f"expected an object of strings, got {v!r}")
+            return dict(v)
+
         try:
-            rules = tuple(LabelRule(dict(r["when"]), r["label"]) for r in d["label_rules"])
+            rules = tuple(LabelRule(str_map(r["when"]), r["label"]) for r in d["label_rules"])
             config = cls(image_column=d["image_column"], split_column=d["split_column"],
-                         split_values=dict(d["split_values"]), label_rules=rules)
+                         split_values=str_map(d["split_values"]), label_rules=rules)
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed mapping ({type(e).__name__}: {e})") from None
         for r in rules:

@@ -137,6 +137,18 @@ class BatchNorm2d:
                              train=train and self.gamma.requires_grad,
                              update_running=update_stats)
 
+    def train_relu(self, norms: list[tuple[Variable, np.ndarray, np.ndarray]],
+                   update_stats: bool) -> Variable:
+        """Train-mode relu(self(x)) for x the channel concatenation of the
+        chunks whose `ad.normalize` results are `norms`: the same values and
+        running-buffer update, from the chunks' shared statistics."""
+        xhats, means, variances = zip(*norms)
+        if update_stats:
+            ad.fold_running(self.running_mean, self.running_var,
+                            np.concatenate(means, axis=1), np.concatenate(variances, axis=1),
+                            xhats[0].data.size // xhats[0].data.shape[1])
+        return ad.affine_relu(xhats, self.gamma, self.beta)
+
 
 class Linear:
     def __init__(self, store: ParameterStore, name: str, fin: int, fout: int, rng: Pcg32, dtype):
@@ -192,7 +204,14 @@ class ResidualBlock:
 class DenseBlock:
     """Pre-activation dense block: layer i consumes the concatenation of the
     block input with every previous layer's output; the block emits that full
-    concatenation (input channels first)."""
+    concatenation (input channels first).
+
+    In train mode each chunk (the block input, then each layer's output) is
+    batch-normalized once and each layer applies only its own affine and
+    relu to the shared chunks (Pleiss et al. 2017, arXiv:1707.06990), with
+    the values of a per-layer batch norm. A layer in eval mode or with a
+    frozen gamma runs `BatchNorm2d` on the concatenation.
+    """
 
     def __init__(self, store: ParameterStore, name: str, cin: int, layers: int,
                  growth: int, rng: Pcg32, dtype):
@@ -207,9 +226,15 @@ class DenseBlock:
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
         feats = [x]
+        norms = []  # ad.normalize of feats[0], feats[1], ... as train-mode layers need them
         for bn, conv in self.layers:
-            cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
-            feats.append(conv(ad.relu(bn(cat, train, update_stats))))
+            if train and bn.gamma.requires_grad:
+                norms += [ad.normalize(f) for f in feats[len(norms):]]
+                h = bn.train_relu(norms, update_stats)
+            else:
+                cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
+                h = ad.relu(bn(cat, train, update_stats))
+            feats.append(conv(h))
         return ad.concat_channels(feats)
 
 

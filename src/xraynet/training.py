@@ -196,7 +196,8 @@ def _batches(n: int, batch_size: int):
 
 def evaluate(model: Model, records, bundle: DataBundle, loss_fn,
              batch_size: int) -> tuple[float, float, np.ndarray]:
-    """Eval-mode loss/accuracy/confusion over `records` in file order."""
+    """Eval-mode loss/accuracy/confusion over `records` in file order; the
+    forward passes and losses build no graph."""
     if not records:
         raise ValueError("cannot evaluate an empty split")
     _check_batch_size(batch_size)
@@ -205,12 +206,12 @@ def evaluate(model: Model, records, bundle: DataBundle, loss_fn,
     all_labels = []
     for lo, hi in _batches(len(records), batch_size):
         x, labels = make_batch(records, range(lo, hi), bundle.images, bundle.input_size)
-        logits = model.forward(x, train=False)
-        loss = loss_fn(logits, one_hot(labels, bundle.num_classes))
+        with ad.no_grad():
+            logits = model.forward(x, train=False)
+            loss = loss_fn(logits, one_hot(labels, bundle.num_classes))
         total_loss += loss.item() * (hi - lo)
         all_logits.append(logits.data)
         all_labels.append(labels)
-        del logits, loss  # free this batch's graph before the next forward
     logits = np.concatenate(all_logits)
     labels = np.concatenate(all_labels)
     return (total_loss / len(records), accuracy(logits, labels),

@@ -97,6 +97,18 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     check("batch_norm_eval", lambda: ad.batch_norm(xb, gamma, beta, rme, rve, train=False),
           pbn, [xb, gamma, beta])
 
+    # the dense block's split train-mode batch norm: normalize at the
+    # batch_norm probe's input, and affine_relu (on a stream of its own) over
+    # two chunks whose |x*gamma + beta| >= 0.1 keeps every input off the kink
+    check("normalize", lambda: ad.normalize(xb)[0], pbn, [xb])
+    ra = derive_stream(OPS_SEED, "gradcheck.ops.affine_relu")
+    xa1 = Variable(_signed_away_from_zero(ra, (2, 2, 3, 3), dtype), requires_grad=True)
+    xa2 = Variable(_signed_away_from_zero(ra, (2, 1, 3, 3), dtype), requires_grad=True)
+    ga = Variable(_positive(ra, (3,), dtype, 0.8, 1.2), requires_grad=True)
+    ba = Variable(ra.uniform_array((3,), -0.05, 0.05).astype(dtype), requires_grad=True)
+    pa3 = _positive(ra, (2, 3, 3, 3), dtype)
+    check("affine_relu", lambda: ad.affine_relu([xa1, xa2], ga, ba), pa3, [xa1, xa2, ga, ba])
+
     xr = Variable(_signed_away_from_zero(rng, (3, 5), dtype), requires_grad=True)
     pr = _positive(rng, (3, 5), dtype)
     check("relu", lambda: ad.relu(xr), pr, [xr])

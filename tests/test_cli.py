@@ -238,7 +238,7 @@ class TestTrain:
 # move the trajectory updates these values and says which and why.
 TRAJECTORY_PINS = {
     "RFL": (0xF5C12B4F, 0x1C9D9116),
-    "DCE": (0x9DA86E80, 0xA614AB89),
+    "DCE": (0xFE1299BB, 0x94534B72),
     "RCE": (0x5C76862D, 0x22821AEA),
     "PRFL": (0x454372E4, 0x5F2C2920),
 }

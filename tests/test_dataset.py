@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xraynet.dataset import (ClassLabel, SampleRecord, binary_filter,
+from xraynet.dataset import (ClassLabel, ManifestConfig, SampleRecord, binary_filter,
                              class_distribution, compute_class_weights, default_mapping,
                              make_batch, one_hot, parse_manifest, sample_weights,
                              stratified_val_split, weighted_sample)
@@ -87,6 +87,28 @@ class TestParseManifest:
                "a.jpeg,Pnemonia,TRAIN,Virus,COVID-19\n")
         result = parse_manifest(csv, default_mapping())
         assert result.records[0].label == int(ClassLabel.Covid19)
+
+
+class TestManifestConfig:
+    MAPPING = {"image_column": "img", "split_column": "split",
+               "split_values": {"TRAIN": "Train", "TEST": "Test"},
+               "label_rules": [{"when": {"L": "b"}, "label": "Normal"}]}
+
+    def test_object_of_strings_accepted(self):
+        config = ManifestConfig.from_dict(self.MAPPING)
+        assert config.label_rules[0].when == {"L": "b"}
+        assert config.required_columns() == {"img", "split", "L"}
+
+    @pytest.mark.parametrize("when", [["Lb"], [["L", "b"]], "Lb", {"L": 1}, {"L": None}],
+                             ids=["two_char_strings", "pairs", "string", "int_value", "null_value"])
+    def test_rule_condition_must_be_an_object_of_strings(self, when):
+        mapping = {**self.MAPPING, "label_rules": [{"when": when, "label": "Normal"}]}
+        with pytest.raises(ValueError, match="malformed mapping"):
+            ManifestConfig.from_dict(mapping)
+
+    def test_split_values_must_be_an_object_of_strings(self):
+        with pytest.raises(ValueError, match="malformed mapping"):
+            ManifestConfig.from_dict({**self.MAPPING, "split_values": [["TRAIN", "Train"]]})
 
 
 class TestClassDistribution:

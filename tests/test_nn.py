@@ -149,6 +149,121 @@ class TestDenseBlockStructure:
         assert err < 1e-2
 
 
+def per_layer_reference(block, x, train, update_stats):
+    """The dense block as each layer's BatchNorm2d -> relu -> conv over the
+    concatenation of every earlier chunk."""
+    feats = [x]
+    for bn, conv in block.layers:
+        cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
+        feats.append(conv(ad.relu(bn(cat, train, update_stats))))
+    return ad.concat_channels(feats)
+
+
+class TestDenseBlockSharedStatistics:
+    """A train-mode DenseBlock normalizes each chunk once and gives each
+    layer its own affine + relu; the per-layer composition is its oracle."""
+
+    # (batch, input channels, layers, growth, size): an odd shape, and the
+    # first MiniDenseNet block at 64 px and batch 8
+    SHAPES = {"odd": (3, 5, 3, 4, 7), "mini": (8, 16, 4, 8, 64)}
+
+    def _block(self, shape, dtype):
+        n, cin, layers, growth, size = shape
+        store = ParameterStore()
+        block = DenseBlock(store, "blk", cin, layers, growth, derive_stream(30, "init"), dtype)
+        rng = derive_stream(31, "nn.test")
+        for name, p in store.params.items():  # gammas and betas away from 1 and 0
+            if name.endswith(".gamma"):
+                p.data[...] = rng.uniform_array(p.data.shape, 0.5, 1.5)
+            elif name.endswith(".beta"):
+                p.data[...] = rng.uniform_array(p.data.shape, -0.3, 0.3)
+        x = rng.uniform_array((n, cin, size, size), -1.0, 1.0).astype(dtype)
+        proj = rng.uniform_array((n, block.out_channels, size, size), 0.3, 1.2).astype(dtype)
+        return store, block, x, proj
+
+    @staticmethod
+    def _run(forward, store, x, proj):
+        """Output, running buffers and gradients of sum(forward(x) * proj);
+        the buffers are restored afterwards."""
+        saved = {n: b.copy() for n, b in store.buffers.items()}
+        xv = Variable(x, requires_grad=True)
+        store.zero_grads()
+        out = forward(xv)
+        backward(ad.sum_axes(ad.bmul(out, ad.constant(proj))))
+        buffers = {n: b.copy() for n, b in store.buffers.items()}
+        for n, b in store.buffers.items():
+            b[...] = saved[n]
+        grads = {n: v.grad.copy() for n, v in store.params.items()}
+        grads["x"] = xv.grad.copy()
+        return out.data, buffers, grads
+
+    def _gradient_gap(self, shape):
+        """Largest relative gradient difference, block vs oracle, in float64."""
+        store, block, x, proj = self._block(shape, np.float64)
+        _, _, got = self._run(lambda v: block(v, True, True), store, x, proj)
+        _, _, want = self._run(lambda v: per_layer_reference(block, v, True, True), store, x, proj)
+        return max(np.abs(got[n] - want[n]).max() / np.abs(want[n]).max() for n in want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_outputs_and_running_buffers_bit_identical(self, shape, dtype):
+        store, block, x, proj = self._block(self.SHAPES[shape], dtype)
+        out, buffers, _ = self._run(lambda v: block(v, True, True), store, x, proj)
+        ref_out, ref_buffers, _ = self._run(
+            lambda v: per_layer_reference(block, v, True, True), store, x, proj)
+        assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+        for name, buf in ref_buffers.items():
+            assert buffers[name].tobytes() == buf.tobytes(), name
+        assert any(not np.array_equal(buf, store.buffers[n]) for n, buf in buffers.items())
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_gradients_match_in_float64(self, shape):
+        assert self._gradient_gap(self.SHAPES[shape]) < 1e-12
+
+    @pytest.mark.parametrize("mutant", ["own_chunk_only", "last_layer_dropped"])
+    def test_gradient_check_catches_a_wrong_chunk_sum(self, monkeypatch, mutant):
+        # own_chunk_only: a chunk's gradient carries only the gamma of the
+        # layer that first reads it; last_layer_dropped: the last layer's
+        # gradient reaches no chunk
+        shape = self.SHAPES["odd"]
+        real = ad.affine_relu
+
+        def broken(xs, gamma, beta):
+            out = real(xs, gamma, beta)
+            drop = xs[:-1] if mutant == "own_chunk_only" else \
+                (xs if len(xs) == shape[2] else [])
+            out._edges = tuple((v, f) for v, f in out._edges
+                               if not any(v is d for d in drop))
+            return out
+
+        monkeypatch.setattr(ad, "affine_relu", broken)
+        assert self._gradient_gap(shape) > 1e-3
+
+    @pytest.mark.parametrize("mode", ["eval", "frozen"])
+    def test_eval_and_frozen_blocks_use_batch_norm(self, monkeypatch, mode):
+        store, block, x, proj = self._block(self.SHAPES["odd"], np.float32)
+        if mode == "frozen":
+            for p in store.params.values():
+                p.requires_grad = False
+        train = mode == "frozen"  # a frozen block in a train-mode pass
+        want = per_layer_reference(block, Variable(x), train, True).data
+        calls = []
+        real_bn = ad.batch_norm
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["train"])
+            return real_bn(*args, **kwargs)
+
+        def refused(x):
+            raise AssertionError("normalize called outside a train-mode layer")
+
+        monkeypatch.setattr(ad, "batch_norm", counted)
+        monkeypatch.setattr(ad, "normalize", refused)
+        out = block(Variable(x), train, True)
+        assert calls == [False] * len(block.layers)
+        assert out.data.tobytes() == want.tobytes()
+
+
 class TestHeadAndFreeze:
     def test_replace_head_redimensions_and_preserves_backbone(self):
         model = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(15, "init"))

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xraynet import autodiff as ad
 from xraynet import training
 from xraynet.autodiff import Variable
 from xraynet.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
-from xraynet.dataset import DataBundle, SampleRecord
+from xraynet.dataset import DataBundle, SampleRecord, make_batch, one_hot
+from xraynet.metrics import accuracy, confusion
 from xraynet.nn import build_model, mini_densenet, mini_resnet
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
@@ -263,6 +265,67 @@ class TestEpochLoop:
         bundle = synthetic_bundle(3, size=32, seed=8)
         idx = _epoch_indices(bundle, cfg(seed=8), epoch=0)
         assert sorted(idx.tolist()) == list(range(len(bundle.train)))
+
+
+class TestEvaluateBuildsNoGraph:
+    @staticmethod
+    def _setup():
+        bundle = synthetic_bundle(3, size=16, seed=12)
+        model = build_model(mini_densenet(4, 16), derive_stream(12, "init"))
+        return bundle, model, make_loss(cfg(preset="DCE", input_size=16))
+
+    def test_no_node_has_edges(self, monkeypatch):
+        bundle, model, loss_fn = self._setup()
+        made = []
+        real = ad._op
+
+        def counting(data, edges):
+            out = real(data, edges)
+            made.append(bool(out._edges))
+            return out
+
+        monkeypatch.setattr(ad, "_op", counting)
+        evaluate(model, bundle.test, bundle, loss_fn, 4)
+        assert made and not any(made)
+        # the same ops build edges outside evaluate
+        model.forward(np.zeros((2, 1, 16, 16), np.float32), train=True, update_stats=False)
+        assert any(made)
+
+    def test_results_equal_a_graph_building_pass(self):
+        bundle, model, loss_fn = self._setup()
+        loss, acc, conf = evaluate(model, bundle.test, bundle, loss_fn, 4)
+        total, all_logits, all_labels = 0.0, [], []
+        for lo in range(0, len(bundle.test), 4):
+            idx = range(lo, min(lo + 4, len(bundle.test)))
+            x, labels = make_batch(bundle.test, idx, bundle.images, 16)
+            logits = model.forward(x, train=False)
+            batch_loss = loss_fn(logits, one_hot(labels, 4))
+            assert batch_loss._edges  # this pass does build a graph
+            total += batch_loss.item() * len(idx)
+            all_logits.append(logits.data)
+            all_labels.append(labels)
+        logits, labels = np.concatenate(all_logits), np.concatenate(all_labels)
+        assert loss == total / len(bundle.test)
+        assert acc == accuracy(logits, labels)
+        npt.assert_array_equal(conf, confusion(logits, labels, 4))
+
+    def test_scope_restored_when_the_loss_raises(self):
+        bundle, model, _ = self._setup()
+
+        def failing_loss(logits, targets):
+            raise RuntimeError("loss failed")
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            evaluate(model, bundle.test, bundle, failing_loss, 4)
+        x = Variable(np.ones((2, 3), np.float32), requires_grad=True)
+        assert ad.relu(x)._edges
+
+    def test_train_epoch_after_evaluate_fills_every_gradient(self):
+        bundle, model, loss_fn = self._setup()
+        evaluate(model, bundle.test, bundle, loss_fn, 4)
+        train_epoch(model, bundle, cfg(preset="DCE", input_size=16), Adam(), epoch=0)
+        for name, p in model.trainable_params().items():
+            assert p._grad is not None and np.any(p._grad != 0), name
 
 
 class TestFit:
