@@ -19,11 +19,20 @@ probe-only `sum_axes` sums everything.
 
 Inside `with no_grad():` every op returns a bare `Variable` that records no
 edges, so a pass that never calls `backward` keeps no graph alive.
+
+`backward` needs no topological sort. Every Variable takes the next value of
+a creation counter, and an op creates its output after its inputs, so each
+node is newer than every node it reads: creation order is already a
+topological order. The walk pops nodes newest-first from a heap keyed on
+that counter, so each node's readers have all run, and its gradient is
+complete, before its own VJPs run.
 """
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
+from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,12 +47,13 @@ POOL = 2            # every pooling window is POOL x POOL at stride POOL
 _BN_AXES = (0, 2, 3)  # batch-norm statistics reduce over batch and space
 
 _grad_enabled = True  # False inside `no_grad`
+_created = count()     # creation counter: each Variable's `_seq`
 
 
 class Variable:
     """A tensor participating in the differentiable graph."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_edges")
+    __slots__ = ("data", "requires_grad", "_grad", "_edges", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -53,6 +63,7 @@ class Variable:
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
         self._edges: tuple[Edge, ...] = ()
+        self._seq = next(_created)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,18 +159,17 @@ def concat_channels(xs: Sequence[Variable]) -> Variable:
             raise ValueError(
                 f"concat_channels: incompatible shapes {base} vs {s} (all dims but channels must match)")
     out = np.concatenate([v.data for v in xs], axis=1)
-    edges = []
-    start = 0
+    return _op(out, [(v, lambda g, lo=lo, hi=hi: g[:, lo:hi]) for v, lo, hi in _channel_spans(xs)])
+
+
+def _channel_spans(xs: Sequence[Variable]) -> list[tuple[Variable, int, int]]:
+    """(x, lo, hi) for each NCHW x of `xs`: the channels lo:hi it fills in their concatenation."""
+    spans, lo = [], 0
     for v in xs:
-        c = v.data.shape[1]
-        lo, hi = start, start + c
-
-        def vjp(g: np.ndarray, lo=lo, hi=hi) -> np.ndarray:
-            return g[:, lo:hi]
-
-        edges.append((v, vjp))
-        start = hi
-    return _op(out, edges)
+        hi = lo + v.data.shape[1]
+        spans.append((v, lo, hi))
+        lo = hi
+    return spans
 
 
 def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
@@ -368,6 +378,13 @@ def _batch_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return mu, var, inv, xc * inv
 
 
+def _centred(g: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """g - mean(g) - x^*mean(g*x^) per channel: the train-mode batch-norm
+    input VJP before its per-channel scale."""
+    return (g - g.mean(axis=_BN_AXES, keepdims=True)
+            - xhat * (g * xhat).mean(axis=_BN_AXES, keepdims=True))
+
+
 def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
                  mu: np.ndarray, var: np.ndarray, m: int) -> None:
     """Fold a batch's mean and biased variance over `m` values per channel
@@ -398,7 +415,6 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(
             f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
-    axes = _BN_AXES
     if train:
         mu, var, inv, xhat = _batch_stats(xd)
         if update_running:
@@ -412,15 +428,12 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable,
     coef = gd * inv
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        if not train:
-            return g * coef
-        return coef * (g - g.mean(axis=axes, keepdims=True)
-                       - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+        return coef * _centred(g, xhat) if train else g * coef
 
     return _op(out, [
         (x, vjp_x),
-        (gamma, lambda g: (g * xhat).sum(axis=axes)),
-        (beta, lambda g: g.sum(axis=axes)),
+        (gamma, lambda g: (g * xhat).sum(axis=_BN_AXES)),
+        (beta, lambda g: g.sum(axis=_BN_AXES)),
     ])
 
 
@@ -434,12 +447,7 @@ def normalize(x: Variable) -> tuple[Variable, np.ndarray, np.ndarray]:
     x^*mean(h*x^)), applied once to h, the sum of every reader's gradient.
     """
     mu, var, inv, xhat = _batch_stats(x.data)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return inv * (g - g.mean(axis=_BN_AXES, keepdims=True)
-                      - xhat * (g * xhat).mean(axis=_BN_AXES, keepdims=True))
-
-    return _op(xhat, [(x, vjp)]), mu, var
+    return _op(xhat, [(x, lambda g: inv * _centred(g, xhat))]), mu, var
 
 
 def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Variable:
@@ -463,14 +471,10 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Vari
     def masked(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return g[:, lo:hi] * mask[:, lo:hi]
 
-    edges, bounds, lo = [], [], 0
-    for v in xs:
-        hi = lo + v.data.shape[1]
-        edges.append((v, lambda g, lo=lo, hi=hi: masked(g, lo, hi) * gd[:, lo:hi]))
-        bounds.append((v, lo, hi))
-        lo = hi
+    spans = _channel_spans(xs)
+    edges = [(v, lambda g, lo=lo, hi=hi: masked(g, lo, hi) * gd[:, lo:hi]) for v, lo, hi in spans]
     edges.append((gamma, lambda g: np.concatenate(
-        [(masked(g, lo, hi) * v.data).sum(axis=_BN_AXES) for v, lo, hi in bounds])))
+        [(masked(g, lo, hi) * v.data).sum(axis=_BN_AXES) for v, lo, hi in spans])))
     edges.append((beta, lambda g: masked(g, 0, c).sum(axis=_BN_AXES)))
     return _op(out, edges)
 
@@ -485,29 +489,11 @@ def _log_softmax(xd: np.ndarray) -> np.ndarray:
 # backward pass and finite-difference verification
 # ---------------------------------------------------------------------------
 
-def _toposort(root: Variable) -> list[Variable]:
-    order: list[Variable] = []
-    seen: set[int] = set()
-    stack: list[tuple[Variable, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._edges:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(root: Variable) -> None:
     """Accumulate d(root)/d(v) into v.grad for every reachable leaf (a node without edges).
 
-    The root must hold exactly one element. Each per-call buffer is dropped
+    The root must hold exactly one element. Nodes run newest-first, so each
+    runs once with its gradient complete. Each per-call buffer is dropped
     once used, so intermediate nodes keep no gradient, and repeated calls add
     (never overwrite) leaf gradients.
     """
@@ -516,10 +502,10 @@ def backward(root: Variable) -> None:
     if not root.requires_grad:
         return
     buf: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(_toposort(root)):
-        g = buf.pop(id(node), None)
-        if g is None:
-            continue
+    heap = [(-root._seq, root)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        g = buf.pop(id(node))
         if not node._edges:
             node._grad = g if node._grad is None else node._grad + g
         for parent, vjp in node._edges:
@@ -527,6 +513,7 @@ def backward(root: Variable) -> None:
             acc = buf.get(id(parent))
             if acc is None:
                 buf[id(parent)] = np.array(contrib, dtype=parent.data.dtype, copy=True)
+                heapq.heappush(heap, (-parent._seq, parent))
             else:
                 acc += contrib
 

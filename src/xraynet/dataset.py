@@ -80,6 +80,8 @@ class ManifestConfig:
 
         try:
             rules = tuple(LabelRule(str_map(r["when"]), r["label"]) for r in d["label_rules"])
+            if not all(isinstance(d[k], str) for k in ("image_column", "split_column")):
+                raise TypeError("image_column and split_column must be strings")
             config = cls(image_column=d["image_column"], split_column=d["split_column"],
                          split_values=str_map(d["split_values"]), label_rules=rules)
         except (KeyError, TypeError) as e:

@@ -187,13 +187,7 @@ def _bilinear_zero_fill(pix: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.n
         ok = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
         return np.where(ok, pix[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], 0)
 
-    v00 = tap(y0c, x0c)
-    v01 = tap(y0c, x0c + 1)
-    v10 = tap(y0c + 1, x0c)
-    v11 = tap(y0c + 1, x0c + 1)
-    val = (v00 * (1 - fy) * (1 - fx) + v01 * (1 - fy) * fx
-           + v10 * fy * (1 - fx) + v11 * fy * fx)
-    val = np.where(inside, val, 0.0)
+    val = np.where(inside, _bilinear(tap, y0c, y0c + 1, fy, x0c, x0c + 1, fx), 0.0)
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
 
 
@@ -251,14 +245,14 @@ def _blend(arr: np.ndarray, row_taps, col_taps) -> np.ndarray:
     """float64 bilinear blend of `arr` at the given row and column taps."""
     y0, y1, fy = row_taps
     x0, x1, fx = col_taps
-    fy = fy[:, None]
-    fx = fx[None, :]
-    v00 = arr[np.ix_(y0, x0)]
-    v01 = arr[np.ix_(y0, x1)]
-    v10 = arr[np.ix_(y1, x0)]
-    v11 = arr[np.ix_(y1, x1)]
-    return (v00 * (1 - fy) * (1 - fx) + v01 * (1 - fy) * fx
-            + v10 * fy * (1 - fx) + v11 * fy * fx)
+    return _bilinear(lambda ys, xs: arr[np.ix_(ys, xs)], y0, y1, fy[:, None], x0, x1, fx[None, :])
+
+
+def _bilinear(tap, y0, y1, fy, x0, x1, fx) -> np.ndarray:
+    """The four-corner blend of `tap(ys, xs)` samples: rows y0/y1 weighted
+    1-fy/fy, columns x0/x1 weighted 1-fx/fx."""
+    return (tap(y0, x0) * (1 - fy) * (1 - fx) + tap(y0, x1) * (1 - fy) * fx
+            + tap(y1, x0) * fy * (1 - fx) + tap(y1, x1) * fy * fx)
 
 
 def _tap_grid(n_in: int, n_out: int):

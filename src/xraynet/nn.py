@@ -192,12 +192,12 @@ class ResidualBlock:
             self.proj_bn = None
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
+        # built first, the skip runs last in the newest-first backward walk:
+        # x's gradient buffer, opened by its first reader to run, then stays
+        # open through the projection alone, not the whole main path
+        skip = x if self.proj is None else self.proj_bn(self.proj(x), train, update_stats)
         h = ad.relu(self.bn1(self.conv1(x), train, update_stats))
         h = self.bn2(self.conv2(h), train, update_stats)
-        if self.proj is not None:
-            skip = self.proj_bn(self.proj(x), train, update_stats)
-        else:
-            skip = x
         return ad.relu(ad.add(h, skip))
 
 

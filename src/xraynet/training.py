@@ -34,7 +34,8 @@ LR_FACTOR = 0.5
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a non-finite gradient would corrupt the optimizer state."""
+    """Raised when a run goes non-finite: a forward pass's logits, or a
+    gradient that would corrupt the optimizer state."""
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,15 @@ def make_loss(config: TrainConfig):
     return focal_loss if config.spec.loss == "focal" else cross_entropy
 
 
+def _forward(model: Model, x: np.ndarray, train: bool) -> Variable:
+    """The model's logits for `x`, which must be finite: a diverged run
+    aborts here rather than failing the loss's input checks."""
+    logits = model.forward(x, train=train)
+    if not np.all(np.isfinite(logits.data)):
+        raise TrainingAborted("non-finite logits in the forward pass")
+    return logits
+
+
 def _batches(n: int, batch_size: int):
     for start in range(0, n, batch_size):
         yield start, min(start + batch_size, n)
@@ -207,7 +217,7 @@ def evaluate(model: Model, records, bundle: DataBundle, loss_fn,
     for lo, hi in _batches(len(records), batch_size):
         x, labels = make_batch(records, range(lo, hi), bundle.images, bundle.input_size)
         with ad.no_grad():
-            logits = model.forward(x, train=False)
+            logits = _forward(model, x, train=False)
             loss = loss_fn(logits, one_hot(labels, bundle.num_classes))
         total_loss += loss.item() * (hi - lo)
         all_logits.append(logits.data)
@@ -247,7 +257,7 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
             rngs = [derive_stream(config.seed, "augment", epoch * _AUG_EPOCH_STRIDE + lo + k)
                     for k in range(len(batch_idx))]
         x, labels = make_batch(bundle.train, batch_idx, bundle.images, bundle.input_size, rngs)
-        logits = model.forward(x, train=True)
+        logits = _forward(model, x, train=True)
         loss = loss_fn(logits, one_hot(labels, bundle.num_classes))
         model.store.zero_grads()
         ad.backward(loss)

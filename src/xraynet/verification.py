@@ -59,29 +59,19 @@ def check_ops(f64: bool = False) -> dict[str, float]:
             lambda: ad.sum_axes(ad.bmul(out_fn(), ad.constant(proj))), params, h=h)
 
     # positive input/kernel/projection keep every gradient coordinate well
-    # above the f32 FD noise floor
-    x = Variable(_positive(rng, (1, 2, 5, 5), dtype), requires_grad=True)
-    k = Variable(_positive(rng, (2, 2, 3, 3), dtype), requires_grad=True)
-    b = Variable(_positive(rng, (2,), dtype), requires_grad=True)
-    proj = _positive(rng, (1, 2, 3, 3), dtype)
-    check("conv2d", lambda: ad.conv2d(x, k, b, stride=2, padding=1), proj, [x, k, b])
-    # stride 1 takes the transposed-conv input gradient; its own stream keeps
-    # the later probes' inputs unchanged
-    rs = derive_stream(OPS_SEED, "gradcheck.ops.conv2d_stride1")
-    xs = Variable(_positive(rs, (1, 2, 5, 4), dtype), requires_grad=True)
-    ks = Variable(_positive(rs, (2, 2, 3, 3), dtype), requires_grad=True)
-    bs = Variable(_positive(rs, (2,), dtype), requires_grad=True)
-    projs = _positive(rs, (1, 2, 5, 4), dtype)
-    check("conv2d_stride1", lambda: ad.conv2d(xs, ks, bs, stride=1, padding=1), projs,
-          [xs, ks, bs])
-    # stride 1 with Cout < Cin takes the shift-and-accumulate forward and dK
-    rt = derive_stream(OPS_SEED, "gradcheck.ops.conv2d_thin")
-    xt = Variable(_positive(rt, (1, 3, 5, 4), dtype), requires_grad=True)
-    kt = Variable(_positive(rt, (2, 3, 3, 2), dtype), requires_grad=True)
-    bt = Variable(_positive(rt, (2,), dtype), requires_grad=True)
-    projt = _positive(rt, (1, 2, 5, 5), dtype)
-    check("conv2d_thin", lambda: ad.conv2d(xt, kt, bt, stride=1, padding=1), projt,
-          [xt, kt, bt])
+    # above the f32 FD noise floor. Stride 1 takes the transposed-conv input
+    # gradient, and stride 1 with Cout < Cin also the shift-and-accumulate
+    # forward and dK; those two probes draw from streams of their own, so the
+    # later probes keep their inputs.
+    for name, stride, (xshape, kshape, pshape) in (
+            ("conv2d", 2, ((1, 2, 5, 5), (2, 2, 3, 3), (1, 2, 3, 3))),
+            ("conv2d_stride1", 1, ((1, 2, 5, 4), (2, 2, 3, 3), (1, 2, 5, 4))),
+            ("conv2d_thin", 1, ((1, 3, 5, 4), (2, 3, 3, 2), (1, 2, 5, 5)))):
+        rc = rng if name == "conv2d" else derive_stream(OPS_SEED, f"gradcheck.ops.{name}")
+        xc, kc, bc = (Variable(_positive(rc, shape, dtype), requires_grad=True)
+                      for shape in (xshape, kshape, kshape[:1]))
+        check(name, lambda: ad.conv2d(xc, kc, bc, stride=stride, padding=1),
+              _positive(rc, pshape, dtype), [xc, kc, bc])
 
     # modest spread plus positive projection keeps the centered bn gradients
     # clear of the noise floor

@@ -403,6 +403,24 @@ class TestBackward:
         npt.assert_allclose(x.grad, 2 * x.data + 3, rtol=1e-6)
         assert grad_check(f, [x], h=1e-3) < 1e-2
 
+    def test_each_node_runs_once_after_all_its_readers(self):
+        # x and a each have readers made at different depths; an early or
+        # repeated run of a node would still sum to the right gradient, so the
+        # order of the VJP calls is what shows the walk
+        x = Variable(np.array([0.5, -1.5], dtype=np.float32), requires_grad=True)
+        a = ad.relu(x)
+        b = ad.add(a, x)
+        c = ad.add(b, a)
+        d = ad.add(c, x)
+        root = ad.sum_axes(d)
+        calls = []
+        for name, node in (("a", a), ("b", b), ("c", c), ("d", d), ("root", root)):
+            node._edges = tuple((v, lambda g, f=f, name=name: calls.append(name) or f(g))
+                                for v, f in node._edges)
+        backward(root)
+        assert calls == ["root", "d", "d", "c", "c", "b", "b", "a"]
+        npt.assert_array_equal(x.grad, [4.0, 2.0])  # d = 2 relu(x) + 2x
+
     def test_intermediate_nodes_hold_no_gradient(self):
         x = Variable(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
         sq = ad.bmul(x, x)

@@ -12,10 +12,12 @@ from xraynet.nn import HEAD_PREFIX, build_model, mini_densenet, mini_resnet, rep
 from xraynet.rng import derive_stream
 
 
-def _write_raw(path, tensors):
-    """A checkpoint file holding exactly `tensors`, in order."""
-    blob = b"".join([MAGIC, struct.pack("<II", VERSION, len(tensors))]
-                    + [_pack_tensor(n, a) for n, a in tensors.items()])
+def _write_raw(path, tensors, version=VERSION, extra_count=0, tail=b""):
+    """A checkpoint file holding exactly `tensors`, in order, with a valid CRC;
+    the header may claim another version or `extra_count` more records, and
+    `tail` bytes may follow the records."""
+    blob = b"".join([MAGIC, struct.pack("<II", version, len(tensors) + extra_count)]
+                    + [_pack_tensor(n, a) for n, a in tensors.items()] + [tail])
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
@@ -195,16 +197,19 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
 
 
 @pytest.mark.parametrize("defect", ["last_shape", "no_metadata", "short_arch",
-                                    "unknown_family"])
+                                    "unknown_family", "version", "record_count",
+                                    "trailing_bytes", "extra_tensor", "missing_tensor"])
 def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # every tensor of a differently seeded model, with one defect: the last
-    # buffer's shape, checked after all the others have passed, or a metadata
-    # record, checked before any tensor
+    # buffer's shape or presence, checked after all the others have passed, a
+    # tensor the model lacks, a metadata record, or the byte layout (under a
+    # recomputed CRC), each checked before any tensor is copied
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
     tensors = dict(source.store.state_tensors())
     last = list(tensors)[-1]
     tensors.update(_meta_tensors(source, 0, 0))
     match = "meta.arch"
+    layout = {}
     if defect == "last_shape":
         tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
         match = f"shape mismatch for '{last}'"
@@ -212,10 +217,22 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
         tensors = dict(source.store.state_tensors())
     elif defect == "short_arch":
         tensors["meta.arch"] = tensors["meta.arch"][:2]
-    else:
+    elif defect == "unknown_family":
         tensors["meta.arch"][0] = 7
+    elif defect == "version":
+        layout, match = {"version": VERSION + 1}, f"unsupported version {VERSION + 1}"
+    elif defect == "record_count":
+        layout, match = {"extra_count": 1}, "truncated tensor record"
+    elif defect == "trailing_bytes":
+        layout, match = {"tail": b"\x00" * 3}, "3 trailing bytes"
+    elif defect == "extra_tensor":
+        tensors["stage9.block0.conv1.kernel"] = np.ones((2, 2), dtype=np.float32)
+        match = "not present in the target model: .'stage9.block0.conv1.kernel'."
+    else:
+        del tensors[last]
+        match = f"missing tensor '{last}'"
     path = tmp_path / "bad.xrnc"
-    _write_raw(path, tensors)
+    _write_raw(path, tensors, **layout)
     before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(resnet_model, path)

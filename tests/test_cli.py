@@ -6,6 +6,7 @@ import shlex
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xraynet import verification
@@ -73,7 +74,16 @@ class TestStats:
     @pytest.mark.parametrize("mapping", [
         {"image_column": "X_ray_image_name", "split_column": "Dataset_type",
          "split_values": {"TRAIN": "Train", "TEST": "Test"}},
-        [{"label_rules": []}]], ids=["no_label_rules", "json_list"])
+        [{"label_rules": []}],
+        {"image_column": ["X_ray_image_name"], "split_column": "Dataset_type",
+         "split_values": {"TRAIN": "Train", "TEST": "Test"},
+         "label_rules": [{"when": {"Label": "Normal"}, "label": "Normal"}]},
+        # with a split column the manifest lacks, an int would meet the
+        # missing-column sort
+        {"image_column": 5, "split_column": "Split",
+         "split_values": {"TRAIN": "Train", "TEST": "Test"},
+         "label_rules": [{"when": {"Label": "Normal"}, "label": "Normal"}]}],
+        ids=["no_label_rules", "json_list", "list_image_column", "int_image_column"])
     def test_malformed_mapping_exit2(self, tmp_path, capsys, mapping):
         manifest = tmp_path / "m.csv"
         manifest.write_text("X_ray_image_name,Label,Dataset_type\n")
@@ -229,6 +239,38 @@ class TestTrain:
                    "--binary", "Bacteria,Virus", "--out", str(out)) == 0
         config = json.loads((out / "config.json").read_text())
         assert config["num_classes"] == 2
+
+    def test_binary_by_index_matches_binary_by_name(self, tmp_path):
+        args = ("train", "--preset", "RCE", "--synthetic", "3", "--size", "16",
+                "--epochs", "1", "--batch-size", "4", "--seed", "3")
+        by_name, by_index = tmp_path / "name", tmp_path / "index"
+        assert run(*args, "--binary", "Normal,Covid19", "--out", str(by_name)) == 0
+        assert run(*args, "--binary", "0,3", "--out", str(by_index)) == 0
+        assert (by_name / "metrics.csv").read_bytes() == (by_index / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("binary, message", [
+        ("4,0", "class index 4 out of range 0..3"),
+        ("Normal,Flu", "unknown class 'Flu'"),
+        ("2,Virus", "two distinct classes"),
+        ("1", "expects two classes"),
+    ])
+    def test_bad_binary_exit2_and_writes_nothing(self, tmp_path, capsys, binary, message):
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--synthetic", "3", "--size", "16",
+                   "--epochs", "1", "--binary", binary, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_run_aborts_exit1(self, tmp_path, capsys):
+        # the numpy overflow warnings of a diverging run are silenced for this
+        # test alone: the suite turns them into errors, which would end the
+        # run as an internal error before the abort
+        out = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            assert run("train", "--preset", "RCE", "--synthetic", "3", "--size", "16",
+                       "--epochs", "3", "--lr", "1e30", "--out", str(out)) == 1
+        assert "training aborted:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.json"]
 
 
 # CRC32 of metrics.csv and of the saved state tensors (names and f32 bytes in

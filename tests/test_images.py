@@ -57,6 +57,12 @@ class TestPgm:
             read_pgm(b"P5 1 1 65535 \x00\x00")
         with pytest.raises(ValueError, match="raster"):
             read_pgm(b"P5 4 4 255 \x00\x01")
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm(b"P5 4 4")
+        with pytest.raises(ValueError, match="malformed PGM header fields"):
+            read_pgm(b"P5 4 x4 255 " + bytes(16))
+        with pytest.raises(ValueError, match="bad PGM dimensions 0x4"):
+            read_pgm(b"P5 0 4 255 ")
 
     def test_load_image_pgm_and_missing(self, tmp_path):
         img = random_image(2)

@@ -233,6 +233,20 @@ class TestEpochLoop:
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, [], bundle, make_loss(cfg()), 4)
 
+    @pytest.mark.parametrize("loop", ["train_epoch", "evaluate"])
+    def test_non_finite_logits_abort(self, loop):
+        # an infinite head bias makes every logit row non-finite without a
+        # floating-point warning; both loops stop before the loss sees them
+        bundle = synthetic_bundle(2, size=16, seed=5)
+        model = build_model(mini_resnet(4, 16), derive_stream(5, "init"))
+        model.store.params["head.bias"].data[0] = np.inf
+        config = cfg(input_size=16)
+        with pytest.raises(TrainingAborted, match="non-finite logits"):
+            if loop == "train_epoch":
+                train_epoch(model, bundle, config, Adam(), epoch=0)
+            else:
+                evaluate(model, bundle.test, bundle, make_loss(config), 4)
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_evaluate_rejects_batch_size_below_one(self, batch_size):
         bundle = synthetic_bundle(2, size=32, seed=5)
