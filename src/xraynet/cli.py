@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingAborted as e:
-        print(f"training aborted: {e}", file=sys.stderr)
+        print(f"{'training' if args.command == 'train' else 'evaluation'} aborted: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # internal failure
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

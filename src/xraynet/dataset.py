@@ -93,7 +93,7 @@ class ManifestConfig:
 
     @classmethod
     def from_json(cls, path) -> "ManifestConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
     def required_columns(self) -> set[str]:
         cols = {self.image_column, self.split_column}
@@ -119,7 +119,7 @@ class ParseResult:
 
 def parse_manifest(data: "bytes | str", config: ManifestConfig) -> ParseResult:
     """One record per CSV row; rows matching no rule are skipped with a reason."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("manifest has no header row")

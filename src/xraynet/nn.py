@@ -6,9 +6,9 @@ the family, the input size and the class count.
 
 A `Model` is a stem conv, then `body`, one list of blocks that each take
 ``(h, train, update_stats)``, then global average pooling and the head. The
-MiniResNet body is the stem's batch norm + relu (`BnRelu`) and six
+MiniResNet body is the stem's `BatchNorm2d` (batch norm + relu) and six
 `ResidualBlock`s; the MiniDenseNet body is three `DenseBlock`s joined by two
-`Transition`s, closed by a final `BnRelu`.
+`Transition`s, closed by a final `BatchNorm2d`.
 
 Models register every trainable tensor in a `ParameterStore` under a
 hierarchical name (e.g. ``stage1.block0.conv1.kernel``); batch-norm running
@@ -124,30 +124,45 @@ class Conv2d:
 
 
 class BatchNorm2d:
+    """Batch norm then relu, the one call for every layer that normalizes;
+    `norm` is the batch norm alone, for the residual sums that relu later."""
+
     def __init__(self, store: ParameterStore, name: str, c: int, dtype):
         self.gamma = store.register(f"{name}.gamma", Variable(np.ones(c, dtype=dtype), requires_grad=True))
         self.beta = store.register(f"{name}.beta", Variable(np.zeros(c, dtype=dtype), requires_grad=True))
         self.running_mean = store.register_buffer(f"{name}.running_mean", np.zeros(c, dtype=dtype))
         self.running_var = store.register_buffer(f"{name}.running_var", np.ones(c, dtype=dtype))
 
-    def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        # a frozen layer runs in inference mode, as a Keras layer with
-        # trainable = False does: running statistics, buffers left as they are
-        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             train=train and self.gamma.requires_grad,
-                             update_running=update_stats)
+    def __call__(self, x: Variable | list[Variable], train: bool, update_stats: bool,
+                 norms: list[tuple[Variable, np.ndarray, np.ndarray]] | None = None) -> Variable:
+        """relu(batch norm of `x`). `x` is a Variable, or a dense block's list
+        of channel chunks, read as their concatenation, with `norms` the
+        block's `ad.normalize` results of its leading chunks.
 
-    def train_relu(self, norms: list[tuple[Variable, np.ndarray, np.ndarray]],
-                   update_stats: bool) -> Variable:
-        """Train-mode relu(self(x)) for x the channel concatenation of the
-        chunks whose `ad.normalize` results are `norms`: the same values and
-        running-buffer update, from the chunks' shared statistics."""
+        A train-mode layer over chunks normalizes the chunks `norms` lacks,
+        appends them, and applies only its own affine and relu to the shared
+        chunks (Pleiss et al. 2017, arXiv:1707.06990): the values and running
+        buffer update of a batch norm over the concatenation.
+        """
+        if norms is None or not (train and self.gamma.requires_grad):
+            if not isinstance(x, Variable):
+                x = x[0] if len(x) == 1 else ad.concat_channels(x)
+            x = self.norm(x, train, update_stats)  # frees a concatenation before relu runs
+            return ad.relu(x)
+        norms += [ad.normalize(f) for f in x[len(norms):]]
         xhats, means, variances = zip(*norms)
         if update_stats:
             ad.fold_running(self.running_mean, self.running_var,
                             np.concatenate(means, axis=1), np.concatenate(variances, axis=1),
                             xhats[0].data.size // xhats[0].data.shape[1])
         return ad.affine_relu(xhats, self.gamma, self.beta)
+
+    def norm(self, x: Variable, train: bool, update_stats: bool) -> Variable:
+        # a frozen layer runs in inference mode, as a Keras layer with
+        # trainable = False does: running statistics, buffers left as they are
+        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                             train=train and self.gamma.requires_grad,
+                             update_running=update_stats)
 
 
 class Linear:
@@ -159,16 +174,6 @@ class Linear:
 
     def __call__(self, x: Variable) -> Variable:
         return ad.linear(x, self.weight, self.bias)
-
-
-class BnRelu:
-    """Batch norm then relu, as a body block (registered under `name`)."""
-
-    def __init__(self, store: ParameterStore, name: str, c: int, dtype):
-        self.bn = BatchNorm2d(store, name, c, dtype)
-
-    def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        return ad.relu(self.bn(x, train, update_stats))
 
 
 class ResidualBlock:
@@ -195,9 +200,9 @@ class ResidualBlock:
         # built first, the skip runs last in the newest-first backward walk:
         # x's gradient buffer, opened by its first reader to run, then stays
         # open through the projection alone, not the whole main path
-        skip = x if self.proj is None else self.proj_bn(self.proj(x), train, update_stats)
-        h = ad.relu(self.bn1(self.conv1(x), train, update_stats))
-        h = self.bn2(self.conv2(h), train, update_stats)
+        skip = x if self.proj is None else self.proj_bn.norm(self.proj(x), train, update_stats)
+        h = self.bn1(self.conv1(x), train, update_stats)
+        h = self.bn2.norm(self.conv2(h), train, update_stats)
         return ad.relu(ad.add(h, skip))
 
 
@@ -206,11 +211,9 @@ class DenseBlock:
     block input with every previous layer's output; the block emits that full
     concatenation (input channels first).
 
-    In train mode each chunk (the block input, then each layer's output) is
-    batch-normalized once and each layer applies only its own affine and
-    relu to the shared chunks (Pleiss et al. 2017, arXiv:1707.06990), with
-    the values of a per-layer batch norm. A layer in eval mode or with a
-    frozen gamma runs `BatchNorm2d` on the concatenation.
+    Each layer's `BatchNorm2d` takes the chunks (the block input, then each
+    layer's output) and the block's `norms`, so a train-mode pass normalizes
+    each chunk once, in the first layer that reads it.
     """
 
     def __init__(self, store: ParameterStore, name: str, cin: int, layers: int,
@@ -225,16 +228,9 @@ class DenseBlock:
         self.out_channels = c
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        feats = [x]
-        norms = []  # ad.normalize of feats[0], feats[1], ... as train-mode layers need them
+        feats, norms = [x], []
         for bn, conv in self.layers:
-            if train and bn.gamma.requires_grad:
-                norms += [ad.normalize(f) for f in feats[len(norms):]]
-                h = bn.train_relu(norms, update_stats)
-            else:
-                cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
-                h = ad.relu(bn(cat, train, update_stats))
-            feats.append(conv(h))
+            feats.append(conv(bn(feats, train, update_stats, norms)))
         return ad.concat_channels(feats)
 
 
@@ -247,7 +243,7 @@ class Transition:
         self.out_channels = cin // 2
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        return ad.avg_pool2d(self.conv(ad.relu(self.bn(x, train, update_stats))))
+        return ad.avg_pool2d(self.conv(self.bn(x, train, update_stats)))
 
 
 class Model:
@@ -262,7 +258,7 @@ class Model:
 
         self.stem_conv = Conv2d(store, "stem.conv", 1, c, 3, 1, 1, rng, dtype)
         if config.family == "resnet":
-            self.body = [BnRelu(store, "stem.bn", c, dtype)]
+            self.body = [BatchNorm2d(store, "stem.bn", c, dtype)]
             for si, (nblocks, cout) in enumerate(RESNET_STAGES, start=1):
                 for bi in range(nblocks):
                     self.body.append(ResidualBlock(store, f"stage{si}.block{bi}", c, cout,
@@ -278,7 +274,7 @@ class Model:
                 if bi < len(DENSE_LAYERS):
                     self.body.append(Transition(store, f"transition{bi}", c, rng, dtype))
                     c = self.body[-1].out_channels
-            self.body.append(BnRelu(store, "final.bn", c, dtype))
+            self.body.append(BatchNorm2d(store, "final.bn", c, dtype))
 
         self.feature_dim = c
         self.head = Linear(store, "head", c, config.num_classes, rng, dtype)

@@ -36,9 +36,9 @@ def settings(f64: bool) -> tuple[np.dtype, float, float]:
     return np.dtype(np.float32), F32_H, F32_THRESHOLD
 
 
-def _signed_away_from_zero(rng: Pcg32, shape, dtype, margin: float = 0.2) -> np.ndarray:
-    """Uniform magnitudes in [margin, 1] with random signs: no relu kinks nearby."""
-    mag = rng.uniform_array(shape, margin, 1.0)
+def _signed_away_from_zero(rng: Pcg32, shape, dtype) -> np.ndarray:
+    """Uniform magnitudes in [0.2, 1] with random signs: no relu kinks nearby."""
+    mag = rng.uniform_array(shape, 0.2, 1.0)
     signs = np.where(rng.uniform_array(shape) < 0.5, -1.0, 1.0)
     return (mag * signs).astype(dtype)
 

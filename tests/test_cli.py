@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xraynet
 from xraynet import verification
 from xraynet.checkpoint import read_checkpoint, save_checkpoint
 from xraynet.cli import build_parser, main
@@ -92,6 +93,24 @@ class TestStats:
         assert run("stats", "--manifest", str(manifest), "--mapping", str(path),
                    "--out", str(tmp_path / "o")) == 2
         assert "malformed mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bom_on", ["manifest", "mapping"])
+def test_byte_order_mark_is_ignored(synth_dir, tmp_path, bom_on):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte order mark
+    files = {"manifest": synth_dir / "manifest.csv",
+             "mapping": Path(xraynet.__file__).parent / "configs" / "coronahack_mapping.json"}
+    bom = tmp_path / files[bom_on].name
+    bom.write_bytes(b"\xef\xbb\xbf" + files[bom_on].read_bytes())
+    for tag, data in (("plain", files), ("bom", {**files, bom_on: bom})):
+        source = ("--manifest", str(data["manifest"]), "--mapping", str(data["mapping"]),
+                  "--images-root", str(synth_dir))
+        assert run("stats", *source, "--out", str(tmp_path / f"stats_{tag}")) == 0
+        assert run("train", "--preset", "RCE", *source, "--size", "16", "--epochs", "1",
+                   "--out", str(tmp_path / f"train_{tag}")) == 0
+    for name in ("stats_{}/class_distribution.csv", "train_{}/metrics.csv"):
+        assert (tmp_path / name.format("bom")).read_bytes() == \
+            (tmp_path / name.format("plain")).read_bytes()
 
 
 class TestTrain:
@@ -343,6 +362,17 @@ class TestTransferFlow:
         assert run("eval", "--checkpoint", str(ckpt), "--synthetic", "2",
                    "--batch-size", batch_size) == 2
         assert "batch_size must be positive" in capsys.readouterr().err
+
+    def test_non_finite_eval_aborts_exit1(self, tmp_path, capsys):
+        # numpy warnings silenced for this test alone, as for the diverging run
+        model = build_model(mini_resnet(input_size=16), derive_stream(0, "init"))
+        model.store.params["head.bias"].data[...] = np.inf
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(model, ckpt)
+        with np.errstate(all="ignore"):
+            assert run("eval", "--checkpoint", str(ckpt), "--synthetic", "2") == 1
+        err = capsys.readouterr().err
+        assert "evaluation aborted: non-finite logits" in err and "training" not in err
 
     def test_eval_missing_checkpoint_exit2(self, tmp_path):
         assert run("eval", "--checkpoint", str(tmp_path / "nope.xrnc"),

@@ -6,8 +6,9 @@ import pytest
 
 from xraynet import autodiff as ad
 from xraynet.autodiff import Variable, backward, grad_check_directional
-from xraynet.nn import (ArchitectureConfig, DenseBlock, ParameterStore, ResidualBlock,
-                        build_model, freeze_backbone, mini_densenet, mini_resnet, replace_head)
+from xraynet.nn import (ArchitectureConfig, BatchNorm2d, DenseBlock, ParameterStore,
+                        ResidualBlock, build_model, freeze_backbone, mini_densenet,
+                        mini_resnet, replace_head)
 from xraynet.rng import derive_stream
 
 
@@ -150,12 +151,15 @@ class TestDenseBlockStructure:
 
 
 def per_layer_reference(block, x, train, update_stats):
-    """The dense block as each layer's BatchNorm2d -> relu -> conv over the
-    concatenation of every earlier chunk."""
+    """The dense block as each layer's batch norm -> relu -> conv over the
+    concatenation of every earlier chunk, composed from the ops alone (a
+    frozen layer normalizes by its running statistics)."""
     feats = [x]
     for bn, conv in block.layers:
         cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
-        feats.append(conv(ad.relu(bn(cat, train, update_stats))))
+        h = ad.batch_norm(cat, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                          train=train and bn.gamma.requires_grad, update_running=update_stats)
+        feats.append(conv(ad.relu(h)))
     return ad.concat_channels(feats)
 
 
@@ -262,6 +266,44 @@ class TestDenseBlockSharedStatistics:
         out = block(Variable(x), train, True)
         assert calls == [False] * len(block.layers)
         assert out.data.tobytes() == want.tobytes()
+
+
+def test_train_mode_batch_norm_ops_run_inside_their_layer(monkeypatch):
+    """In a train-mode MiniDenseNet forward each dense layer's `affine_relu`
+    runs inside that layer's `BatchNorm2d` call, with its gamma and beta, and
+    every `normalize` inside the call of the first layer to read the chunk."""
+    model = build_model(mini_densenet(input_size=16), derive_stream(40, "init"))
+    frames, owners = [], []  # (layer, the normalize outputs made in its call)
+    real_call, real_normalize, real_affine = BatchNorm2d.__call__, ad.normalize, ad.affine_relu
+
+    def call(self, *args, **kwargs):
+        frames.append((self, []))
+        try:
+            return real_call(self, *args, **kwargs)
+        finally:
+            frames.pop()
+
+    def normalize(x):
+        assert frames, "normalize outside a BatchNorm2d call"
+        out = real_normalize(x)
+        frames[-1][1].append(out[0])
+        return out
+
+    def affine_relu(xs, gamma, beta):
+        assert frames, "affine_relu outside a BatchNorm2d call"
+        layer, made = frames[-1]
+        assert gamma is layer.gamma and beta is layer.beta
+        # each layer is the first to read exactly one chunk: the newest
+        assert len(made) == 1 and xs[-1] is made[0]
+        owners.append(layer)
+        return real_affine(xs, gamma, beta)
+
+    monkeypatch.setattr(BatchNorm2d, "__call__", call)
+    monkeypatch.setattr(ad, "normalize", normalize)
+    monkeypatch.setattr(ad, "affine_relu", affine_relu)
+    model.forward(small_input((2, 1, 16, 16)), train=True)
+    assert owners == [bn for block in model.body if isinstance(block, DenseBlock)
+                      for bn, _ in block.layers]
 
 
 class TestHeadAndFreeze:
