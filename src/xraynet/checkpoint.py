@@ -92,7 +92,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Parse a checkpoint file into (state tensors, metadata).
 
     The one reader of ``meta.*``: each `META_SHAPES` record must be present at
-    its shape and `meta.arch` must name a family; `meta.digest` is ignored.
+    its shape, and `meta.arch` must decode into an `ArchitectureConfig`, which
+    ``meta["arch"]`` holds; `meta.digest` is ignored.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 16:
@@ -131,19 +132,20 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if rec is None or rec.shape != shape:
             raise CheckpointError(f"{path}: metadata record {name} must have shape {shape}, "
                                   f"found {None if rec is None else rec.shape}")
-    arch = tensors["meta.arch"]
-    if arch[0] not in range(len(FAMILIES)):
-        raise CheckpointError(f"{path}: unknown family code {arch[0]} in meta.arch")
+    # meta.arch is (family code, input channels, input size, class count);
+    # the code must be a whole index before int() truncates it
+    code, _, size, classes = tensors["meta.arch"]
+    if code not in range(len(FAMILIES)):
+        raise CheckpointError(f"{path}: unknown family code {code} in meta.arch")
+    try:
+        arch = ArchitectureConfig(FAMILIES[int(code)], int(size), int(classes))
+    except (ValueError, OverflowError) as e:
+        raise CheckpointError(f"{path}: impossible meta.arch ({e})") from None
     limbs = tensors["meta.seed"].astype(np.int64)
     meta = {
         "epoch": int(tensors["meta.epoch"][0]),
         "seed": int(sum(int(limbs[i]) << (16 * i) for i in range(4))),
-        "arch": {
-            "family": FAMILIES[int(arch[0])],
-            "input_channels": int(arch[1]),
-            "input_size": int(arch[2]),
-            "num_classes": int(arch[3]),
-        },
+        "arch": arch,
     }
     state = {n: a for n, a in tensors.items() if not n.startswith(META_PREFIX)}
     return state, meta
@@ -180,7 +182,7 @@ def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
     model keeps its own head, whatever the file's class count.
     """
     state, meta = read_checkpoint(path)
-    family = meta["arch"]["family"]
+    family = meta["arch"].family
     if family != model.config.family:
         raise CheckpointError(
             f"{path}: checkpoint holds a {family} backbone, the target model is a "
@@ -192,8 +194,6 @@ def load_checkpoint(model: Model, path, backbone_only: bool = False) -> dict:
 def model_from_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a Mini-preset model described by a checkpoint's metadata and load it."""
     state, meta = read_checkpoint(path)
-    arch = meta["arch"]
-    config = ArchitectureConfig(arch["family"], arch["input_size"], arch["num_classes"])
-    model = Model(config, Pcg32(0, 0))
+    model = Model(meta["arch"], Pcg32(0, 0))
     _copy_state(model, state, path)
     return model, meta

@@ -59,12 +59,7 @@ def _parse_counts(text: str) -> int | list[int]:
 
 
 def _load_mapping(path: str | None) -> ManifestConfig:
-    if path is None:
-        return default_mapping()
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"mapping file not found: {p}")
-    return ManifestConfig.from_json(p)
+    return default_mapping() if path is None else ManifestConfig.from_json(path)
 
 
 def _build_bundle(args):
@@ -81,17 +76,12 @@ def _build_bundle(args):
     if args.synthetic is not None:
         return synthetic_bundle(args.synthetic, size=args.size, seed=args.seed, binary=binary)
     if args.manifest:
-        manifest = Path(args.manifest)
-        if not manifest.exists():
-            raise ValueError(f"manifest not found: {manifest}")
         if not args.images_root:
             raise ValueError("--images-root is required with --manifest")
-        extra = args.extra_manifest
-        if extra and not Path(extra).exists():
-            raise ValueError(f"extra manifest not found: {extra}")
-        return from_manifest(manifest, args.images_root, _load_mapping(args.mapping),
+        return from_manifest(args.manifest, args.images_root, _load_mapping(args.mapping),
                              input_size=args.size, seed=args.seed, binary=binary,
-                             extra_manifest=extra, extra_images_root=args.extra_images_root)
+                             extra_manifest=args.extra_manifest,
+                             extra_images_root=args.extra_images_root)
     raise ValueError("provide a data source: --synthetic N or --manifest PATH")
 
 
@@ -100,11 +90,8 @@ def _build_bundle(args):
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    manifest = Path(args.manifest)
-    if not manifest.exists():
-        raise ValueError(f"manifest not found: {manifest}")
     mapping = _load_mapping(args.mapping)
-    result = parse_manifest(manifest.read_bytes(), mapping)
+    result = parse_manifest(Path(args.manifest).read_bytes(), mapping)
 
     counts = class_distribution(result.records)
     lines = ["class,split,count"]
@@ -161,11 +148,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ValueError(f"checkpoint not found: {ckpt}")
-    model, meta = model_from_checkpoint(ckpt)
-    args.size = meta["arch"]["input_size"]  # eval has no --size: the checkpoint fixes it
+    model, meta = model_from_checkpoint(args.checkpoint)
+    args.size = meta["arch"].input_size  # eval has no --size: the checkpoint fixes it
     bundle = _build_bundle(args)
     if bundle.num_classes != model.config.num_classes:
         raise ValueError(f"checkpoint has {model.config.num_classes} classes "

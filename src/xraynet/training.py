@@ -24,7 +24,7 @@ from .autodiff import Variable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import DataBundle, compute_class_weights, make_batch, one_hot, sample_weights, weighted_sample
 from .losses import cross_entropy, focal_loss
-from .metrics import accuracy, confusion, epoch_average_accuracy
+from .metrics import accuracy, confusion, epoch_average_accuracy, per_class_from_confusion
 from .nn import ArchitectureConfig, Model, build_model, freeze_backbone
 from .rng import check_seed, derive_stream
 
@@ -284,8 +284,6 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
     if config.spec.pretrained:
         if not config.checkpoint:
             raise ValueError(f"preset {config.preset} needs a pretrained checkpoint (--checkpoint)")
-        if not Path(config.checkpoint).exists():
-            raise ValueError(f"checkpoint not found: {config.checkpoint}")
     for split_name, records in (("train", bundle.train), ("val", bundle.val),
                                 ("test", bundle.test)):
         if not records:
@@ -360,6 +358,12 @@ def export_metrics(record: RunRecord, run_dir) -> tuple[Path, Path]:
         "wall_clock": record.wall_clock,
         "config": record.config,
     }
+    if record.test_confusion is not None:
+        # the minority recall the paper reports; a class with no test samples
+        # has none and is written null, not json's non-standard NaN
+        recall = per_class_from_confusion(record.test_confusion)
+        summary["test_confusion"] = record.test_confusion.tolist()
+        summary["test_recall"] = [None if np.isnan(r) else float(r) for r in recall]
     json_path = run_dir / "run.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return csv_path, json_path

@@ -35,8 +35,7 @@ def test_round_trip_bit_exact(tmp_path, resnet_model):
         npt.assert_array_equal(other.store.state_tensors()[name], arr)
     assert meta["epoch"] == 3
     assert meta["seed"] == 42
-    assert meta["arch"]["family"] == "resnet"
-    assert meta["arch"]["num_classes"] == 4
+    assert meta["arch"] == mini_resnet(num_classes=4, input_size=32)
 
 
 def test_save_load_save_byte_identical(tmp_path, resnet_model):
@@ -139,9 +138,7 @@ def test_files_of_earlier_versions_stay_loadable(tmp_path, config, code, digest)
     _write_raw(old, tensors)
     target = build_model(config(num_classes=4, input_size=32), derive_stream(99, "init"))
     meta = load_checkpoint(target, old)
-    assert meta == {"epoch": 3, "seed": 42, "arch": {
-        "family": ("resnet", "densenet")[code], "input_channels": 1,
-        "input_size": 32, "num_classes": 4}}
+    assert meta == {"epoch": 3, "seed": 42, "arch": config(num_classes=4, input_size=32)}
     for name, arr in source.store.state_tensors().items():
         npt.assert_array_equal(target.store.state_tensors()[name], arr)
     # a new file is the same records without meta.digest, so the 4-entry
@@ -159,7 +156,7 @@ def test_model_from_checkpoint_rebuilds(tmp_path):
     path = tmp_path / "d.xrnc"
     save_checkpoint(model, path, epoch=2, seed=9)
     rebuilt, meta = model_from_checkpoint(path)
-    assert meta["arch"]["family"] == "densenet"
+    assert meta["arch"] == mini_densenet(num_classes=3, input_size=16)
     assert rebuilt.config.num_classes == 3
     for name, arr in model.store.state_tensors().items():
         npt.assert_array_equal(rebuilt.store.state_tensors()[name], arr)
@@ -181,7 +178,7 @@ def test_replaced_head_sets_the_class_count_everywhere(tmp_path, resnet_model):
     path = tmp_path / "two.xrnc"
     save_checkpoint(resnet_model, path)
     rebuilt, meta = model_from_checkpoint(path)
-    assert rebuilt.config.num_classes == meta["arch"]["num_classes"] == 2
+    assert rebuilt.config == meta["arch"] == mini_resnet(num_classes=2, input_size=32)
     assert rebuilt.head.weight.shape == (2, rebuilt.feature_dim)
 
 
@@ -197,13 +194,16 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
 
 
 @pytest.mark.parametrize("defect", ["last_shape", "no_metadata", "short_arch",
-                                    "unknown_family", "version", "record_count",
+                                    "unknown_family", "fractional_family", "one_class",
+                                    "zero_size", "nan_size", "version", "record_count",
                                     "trailing_bytes", "extra_tensor", "missing_tensor"])
 def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # every tensor of a differently seeded model, with one defect: the last
     # buffer's shape or presence, checked after all the others have passed, a
-    # tensor the model lacks, a metadata record, or the byte layout (under a
-    # recomputed CRC), each checked before any tensor is copied
+    # tensor the model lacks, a metadata record or an impossible meta.arch
+    # (family code, class count or input size), or the byte layout (under a
+    # recomputed CRC), each checked before any tensor is copied; rebuilding a
+    # model from the file fails the same way
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
     tensors = dict(source.store.state_tensors())
     last = list(tensors)[-1]
@@ -219,6 +219,14 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
         tensors["meta.arch"] = tensors["meta.arch"][:2]
     elif defect == "unknown_family":
         tensors["meta.arch"][0] = 7
+    elif defect == "fractional_family":
+        tensors["meta.arch"][0] = 0.5
+    elif defect == "one_class":
+        tensors["meta.arch"][3] = 1
+    elif defect == "zero_size":
+        tensors["meta.arch"][2] = 0
+    elif defect == "nan_size":
+        tensors["meta.arch"][2] = np.nan
     elif defect == "version":
         layout, match = {"version": VERSION + 1}, f"unsupported version {VERSION + 1}"
     elif defect == "record_count":
@@ -238,6 +246,8 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
         load_checkpoint(resnet_model, path)
     for name, arr in resnet_model.store.state_tensors().items():
         npt.assert_array_equal(arr, before[name])
+    with pytest.raises(CheckpointError, match=match):
+        model_from_checkpoint(path)
 
 
 def test_model_from_checkpoint_reads_the_file_once(tmp_path, resnet_model, monkeypatch):

@@ -58,10 +58,6 @@ class TestStats:
         lines = (out / "class_distribution.csv").read_text().strip().splitlines()
         assert all(l.endswith(",0") for l in lines[1:])
 
-    def test_missing_manifest_exit2(self, tmp_path):
-        assert run("stats", "--manifest", str(tmp_path / "nope.csv"),
-                   "--out", str(tmp_path / "o")) == 2
-
     def test_unloadable_image_writes_nothing(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert run("synth", "--counts", "2", "--size", "16", "--out", str(data)) == 0
@@ -111,6 +107,30 @@ def test_byte_order_mark_is_ignored(synth_dir, tmp_path, bom_on):
     for name in ("stats_{}/class_distribution.csv", "train_{}/metrics.csv"):
         assert (tmp_path / name.format("bom")).read_bytes() == \
             (tmp_path / name.format("plain")).read_bytes()
+
+
+_MANIFEST = ["--manifest", "{data}/manifest.csv", "--images-root", "{data}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--manifest", "{missing}", "--out", "{out}"],
+    ["stats", *_MANIFEST, "--mapping", "{missing}", "--out", "{out}"],
+    ["train", "--preset", "RCE", "--manifest", "{missing}", "--images-root", "{data}",
+     "--out", "{out}"],
+    ["train", "--preset", "RCE", *_MANIFEST, "--mapping", "{missing}", "--out", "{out}"],
+    ["train", "--preset", "RCE", *_MANIFEST, "--extra-manifest", "{missing}", "--out", "{out}"],
+    ["train", "--preset", "PRCE", "--checkpoint", "{missing}", "--synthetic", "2",
+     "--out", "{out}"],
+    ["eval", "--checkpoint", "{missing}", "--synthetic", "2"],
+], ids=["stats-manifest", "stats-mapping", "train-manifest", "train-mapping",
+        "train-extra-manifest", "train-checkpoint", "eval-checkpoint"])
+def test_missing_input_file_exit2_names_it_and_writes_nothing(synth_dir, tmp_path, capsys,
+                                                              argv):
+    # the read that opens the file reports it; nothing checks for it beforehand
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    assert run(*(a.format(data=synth_dir, missing=missing, out=out) for a in argv)) == 2
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrain:
@@ -373,10 +393,6 @@ class TestTransferFlow:
             assert run("eval", "--checkpoint", str(ckpt), "--synthetic", "2") == 1
         err = capsys.readouterr().err
         assert "evaluation aborted: non-finite logits" in err and "training" not in err
-
-    def test_eval_missing_checkpoint_exit2(self, tmp_path):
-        assert run("eval", "--checkpoint", str(tmp_path / "nope.xrnc"),
-                   "--synthetic", "2") == 2
 
 
 class TestGradcheckCommand:

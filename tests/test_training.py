@@ -343,12 +343,17 @@ class TestEvaluateBuildsNoGraph:
 
 
 class TestFit:
-    def test_missing_checkpoint_rejected_before_training(self):
+    def test_missing_checkpoint_rejected_before_training(self, tmp_path):
         bundle = synthetic_bundle(2, size=32, seed=9)
+        run_dir = tmp_path / "run"
         with pytest.raises(ValueError, match="checkpoint"):
-            fit(cfg(preset="PRCE", seed=9), bundle)
-        with pytest.raises(ValueError, match="not found"):
-            fit(cfg(preset="PRCE", seed=9, checkpoint="/nonexistent.xrnc"), bundle)
+            fit(cfg(preset="PRCE", seed=9), bundle, run_dir=run_dir)
+        # the read that opens the file reports it, before the run directory is made
+        missing = str(tmp_path / "nonexistent.xrnc")
+        with pytest.raises(FileNotFoundError) as exc:
+            fit(cfg(preset="PRCE", seed=9, checkpoint=missing), bundle, run_dir=run_dir)
+        assert exc.value.filename == missing
+        assert not run_dir.exists()
 
     def test_input_size_mismatch_rejected_before_writing(self, tmp_path):
         # the model, config.json and the checkpoint would record 16 px while
@@ -379,6 +384,9 @@ class TestFit:
         assert summary["epochs"] == 2
         assert summary["epoch_metrics"] == "metrics.csv"
         assert summary["test_accuracy"] == pytest.approx(record.test_accuracy)
+        conf = record.test_confusion
+        assert summary["test_confusion"] == conf.tolist()
+        assert summary["test_recall"] == [conf[c, c] / conf[c].sum() for c in range(len(conf))]
 
     def test_freeze_keeps_backbone_fixed_through_training(self, tmp_path):
         pre_bundle = synthetic_bundle(2, size=32, seed=11)
@@ -465,3 +473,14 @@ class TestExport:
         summary = json.loads(json_path.read_text())
         assert summary["val_acc_avg"] == pytest.approx(np.mean([m.val_acc for m in rows]))
         assert summary["train_acc_avg"] == pytest.approx(np.mean([m.train_acc for m in rows]))
+        assert "test_confusion" not in summary and "test_recall" not in summary
+
+    def test_class_without_test_samples_has_null_recall(self, tmp_path):
+        record = self._fake_record(1)
+        record.test_confusion = np.array([[3, 1], [0, 0]], dtype=np.int64)
+        _, json_path = export_metrics(record, tmp_path)
+        text = json_path.read_text()
+        assert "NaN" not in text
+        summary = json.loads(text)
+        assert summary["test_confusion"] == [[3, 1], [0, 0]]
+        assert summary["test_recall"] == [0.75, None]
