@@ -5,8 +5,10 @@ gradient verification) together with an accumulated gradient and the graph
 edges needed for backpropagation. Ops are pure functions: they build a new
 `Variable` whose recorded edges carry vector-Jacobian closures back to each
 differentiable input. `backward` propagates from a scalar root in reverse
-topological order and adds the result into each reachable leaf's gradient,
-so calling it twice without zeroing doubles the gradients.
+topological order and adds the result into each reachable leaf's gradient.
+It consumes the graph: each node drops its edges, and with them the arrays
+its closures saved, once its VJPs have run, so a later `backward` that
+reaches a consumed node raises.
 
 The op set is exactly what small residual/dense image classifiers require:
 conv2d, batch norm (one fused node with a closed-form backward), relu,
@@ -25,7 +27,9 @@ a creation counter, and an op creates its output after its inputs, so each
 node is newer than every node it reads: creation order is already a
 topological order. The walk pops nodes newest-first from a heap keyed on
 that counter, so each node's readers have all run, and its gradient is
-complete, before its own VJPs run.
+complete, before its own VJPs run. No reader is left to need a node's
+closures after that, so the walk frees them as it passes: backward's peak
+is the forward's live set plus the gradients in flight, not the whole graph.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class Variable:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
-        self._edges: tuple[Edge, ...] = ()
+        self._edges: tuple[Edge, ...] | None = ()  # None once `backward` consumed them
         self._seq = next(_created)
 
     @property
@@ -138,7 +142,7 @@ def sum_axes(x: Variable) -> Variable:
 
 def relu(x: Variable) -> Variable:
     mask = x.data > 0
-    return _op(np.where(mask, x.data, x.dtype.type(0)), [(x, lambda g: g * mask)])
+    return _op(x.data * mask, [(x, lambda g: g * mask)])
 
 
 def add(a: Variable, b: Variable) -> Variable:
@@ -464,9 +468,9 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Vari
         raise ValueError(
             f"affine_relu: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
     gd = gamma.data.reshape(1, c, 1, 1)
-    z = xd * gd + beta.data.reshape(1, c, 1, 1)
-    mask = z > 0
-    out = np.where(mask, z, z.dtype.type(0))
+    out = xd * gd + beta.data.reshape(1, c, 1, 1)
+    mask = out > 0
+    out *= mask
 
     def masked(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return g[:, lo:hi] * mask[:, lo:hi]
@@ -490,12 +494,17 @@ def _log_softmax(xd: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def backward(root: Variable) -> None:
-    """Accumulate d(root)/d(v) into v.grad for every reachable leaf (a node without edges).
+    """Accumulate d(root)/d(v) into v.grad for every reachable leaf (a node
+    without edges), consuming the graph.
 
     The root must hold exactly one element. Nodes run newest-first, so each
-    runs once with its gradient complete. Each per-call buffer is dropped
-    once used, so intermediate nodes keep no gradient, and repeated calls add
-    (never overwrite) leaf gradients.
+    runs once with its gradient complete, and then drops its edges: its
+    closures and the arrays they saved are freed as the walk passes, even
+    while the caller still holds the root. Each per-call buffer is dropped
+    once used, so intermediate nodes keep no gradient. A consumed node can
+    never pass for a leaf: a later walk that reaches one raises. Leaf
+    gradients are added (never overwritten) only once the walk has finished,
+    so a walk that raises leaves every gradient as it was.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
@@ -503,19 +512,26 @@ def backward(root: Variable) -> None:
         return
     buf: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     heap = [(-root._seq, root)]
+    leaves: list[tuple[Variable, np.ndarray]] = []
     while heap:
         _, node = heapq.heappop(heap)
         g = buf.pop(id(node))
-        if not node._edges:
-            node._grad = g if node._grad is None else node._grad + g
-        for parent, vjp in node._edges:
-            contrib = vjp(g)
+        edges = node._edges
+        if edges is None:
+            raise RuntimeError("backward: the graph was already consumed by an earlier backward")
+        if not edges:
+            leaves.append((node, g))
+            continue
+        node._edges = None  # consumed: its closures go once `edges` is rebound
+        for parent, vjp in edges:
             acc = buf.get(id(parent))
             if acc is None:
-                buf[id(parent)] = np.array(contrib, dtype=parent.data.dtype, copy=True)
+                buf[id(parent)] = np.array(vjp(g), dtype=parent.data.dtype, copy=True)
                 heapq.heappush(heap, (-parent._seq, parent))
             else:
-                acc += contrib
+                acc += vjp(g)
+    for leaf, g in leaves:
+        leaf._grad = g if leaf._grad is None else leaf._grad + g
 
 
 def _analytic_grads(fn: Callable[[], Variable], params: list[Variable],

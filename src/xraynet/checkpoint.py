@@ -133,13 +133,17 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: metadata record {name} must have shape {shape}, "
                                   f"found {None if rec is None else rec.shape}")
     # meta.arch is (family code, input channels, input size, class count);
-    # the code must be a whole index before int() truncates it
+    # the code must be a whole index, and the size and count whole numbers,
+    # before int() truncates them
     code, _, size, classes = tensors["meta.arch"]
     if code not in range(len(FAMILIES)):
         raise CheckpointError(f"{path}: unknown family code {code} in meta.arch")
+    if not (float(size).is_integer() and float(classes).is_integer()):
+        raise CheckpointError(f"{path}: meta.arch input size {size} and class count "
+                              f"{classes} must be whole numbers")
     try:
         arch = ArchitectureConfig(FAMILIES[int(code)], int(size), int(classes))
-    except (ValueError, OverflowError) as e:
+    except ValueError as e:
         raise CheckpointError(f"{path}: impossible meta.arch ({e})") from None
     limbs = tensors["meta.seed"].astype(np.int64)
     meta = {

@@ -197,12 +197,13 @@ class ResidualBlock:
             self.proj_bn = None
 
     def __call__(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        # built first, the skip runs last in the newest-first backward walk:
-        # x's gradient buffer, opened by its first reader to run, then stays
-        # open through the projection alone, not the whole main path
-        skip = x if self.proj is None else self.proj_bn.norm(self.proj(x), train, update_stats)
+        # main path first, skip last: a pass without a graph then never holds
+        # the skip's output through the main path's im2col; in backward the
+        # skip runs first and x's gradient buffer stays open through the main
+        # path, whose saved arrays the walk frees as it passes them
         h = self.bn1(self.conv1(x), train, update_stats)
         h = self.bn2.norm(self.conv2(h), train, update_stats)
+        skip = x if self.proj is None else self.proj_bn.norm(self.proj(x), train, update_stats)
         return ad.relu(ad.add(h, skip))
 
 

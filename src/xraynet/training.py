@@ -264,7 +264,6 @@ def train_epoch(model: Model, bundle: DataBundle, config: TrainConfig,
         optimizer.step(model.store.params, lr)
         loss_sum += loss.item() * len(labels)
         correct += int((logits.data.argmax(axis=1) == labels).sum())
-        del logits, loss  # free this step's graph before the next batch
 
     val_loss, val_acc, _ = evaluate(model, bundle.val, bundle, loss_fn, config.batch_size)
     return EpochMetrics(epoch=epoch, lr=lr,

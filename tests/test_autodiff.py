@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -368,6 +369,15 @@ class TestSimpleOps:
         assert x.grad.sum() == pytest.approx(4.0)
 
 
+def _saved_array(node, name):
+    """The array called `name` that one of `node`'s VJP closures saved."""
+    for _, vjp in node._edges:
+        cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__ or ()))
+        if name in cells:
+            return cells[name].cell_contents
+    raise KeyError(name)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Variable(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
@@ -379,12 +389,46 @@ class TestBackward:
         backward(ad.sum_axes(ad.bmul(x, x)))
         npt.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
-    def test_double_backward_doubles_gradients(self):
+    def test_second_backward_raises_and_keeps_gradients(self):
+        # backward consumes the graph: a second walk from the same root raises
         x = Variable(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
         root = ad.sum_axes(ad.bmul(x, x))
         backward(root)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            backward(root)
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_walk_that_fails_partway_moves_no_gradient(self):
+        # two roots share sq; w is newer than sq, so the second walk completes
+        # w's gradient before it reaches sq, which the first walk consumed
+        x = Variable(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        sq = ad.bmul(x, x)
+        w = Variable(np.array([3.0, -1.0], dtype=np.float32), requires_grad=True)
+        backward(ad.sum_axes(w))
+        first, second = ad.sum_axes(sq), ad.sum_axes(ad.bmul(sq, w))
+        backward(first)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            backward(second)
+        npt.assert_array_equal(x.grad, [2.0, 4.0])
+        npt.assert_array_equal(w.grad, [1.0, 1.0])
+        assert sq._grad is None  # a consumed node never passes for a leaf
+
+    def test_saved_arrays_freed_while_the_root_is_held(self):
+        # as in a training step before it drops its logits and loss: the
+        # caller still holds the root and every node, yet the walk releases
+        # each node's closures and the arrays they saved
+        rng = Pcg32(12, 5)
+        x = Variable(rng.uniform_array((2, 3, 6, 6), -1, 1).astype(np.float32), requires_grad=True)
+        k = Variable(rng.uniform_array((4, 3, 3, 3), -1, 1).astype(np.float32), requires_grad=True)
+        b = Variable(np.zeros(4, dtype=np.float32), requires_grad=True)
+        out = ad.conv2d(x, k, b, padding=1)
+        act = ad.relu(out)
+        root = ad.sum_axes(act)
+        saved = [weakref.ref(_saved_array(out, "cols")), weakref.ref(_saved_array(act, "mask"))]
+        assert all(ref() is not None for ref in saved)
         backward(root)
-        npt.assert_allclose(x.grad, [4.0, 8.0])
+        assert [ref() is None for ref in saved] == [True, True]
+        assert root.data.shape == () and act.data.shape == out.data.shape == (2, 4, 6, 6)
 
     def test_non_scalar_root_rejected(self):
         x = Variable(np.zeros(3, dtype=np.float32), requires_grad=True)

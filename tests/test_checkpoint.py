@@ -195,13 +195,15 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
 
 @pytest.mark.parametrize("defect", ["last_shape", "no_metadata", "short_arch",
                                     "unknown_family", "fractional_family", "one_class",
-                                    "zero_size", "nan_size", "version", "record_count",
+                                    "zero_size", "nan_size", "fractional_size",
+                                    "fractional_classes", "version", "record_count",
                                     "trailing_bytes", "extra_tensor", "missing_tensor"])
 def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # every tensor of a differently seeded model, with one defect: the last
     # buffer's shape or presence, checked after all the others have passed, a
     # tensor the model lacks, a metadata record or an impossible meta.arch
-    # (family code, class count or input size), or the byte layout (under a
+    # (family code, class count or input size, or a fractional one, which
+    # int() would truncate to a valid record), or the byte layout (under a
     # recomputed CRC), each checked before any tensor is copied; rebuilding a
     # model from the file fails the same way
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
@@ -227,6 +229,10 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
         tensors["meta.arch"][2] = 0
     elif defect == "nan_size":
         tensors["meta.arch"][2] = np.nan
+    elif defect == "fractional_size":
+        tensors["meta.arch"][2] = 32.9
+    elif defect == "fractional_classes":
+        tensors["meta.arch"][3] = 4.5
     elif defect == "version":
         layout, match = {"version": VERSION + 1}, f"unsupported version {VERSION + 1}"
     elif defect == "record_count":
