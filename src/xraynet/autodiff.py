@@ -11,10 +11,10 @@ its closures saved, once its VJPs have run, so a later `backward` that
 reaches a consumed node raises.
 
 The op set is exactly what small residual/dense image classifiers require:
-conv2d, batch norm (one fused node with a closed-form backward), relu,
-pooling, linear, add and channel concat, plus the two halves of a dense
-block's train-mode batch norm: `normalize`, once per channel chunk, and
-`affine_relu`, once per layer over the chunks it reads. Each loss in
+conv2d, relu, pooling, linear, add, channel concat and batch norm: in
+train mode `normalize` (x^ by batch statistics, once per channel chunk)
+then `affine_relu` (x^*gamma + beta and relu, once per layer over the
+chunks it reads), in inference mode `batch_norm`. Each loss in
 `losses.py` is one `_op` node over the plain-array `_log_softmax`. No op
 broadcasts: `add` and the probe-only `bmul` require equal shapes, and the
 probe-only `sum_axes` sums everything.
@@ -367,28 +367,6 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
 
 
-def _batch_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Train-mode (mean, biased variance, inv = 1/sqrt(var+BN_EPS), x^) of
-    NCHW `xd`, the first three shaped (1, C, 1, 1)."""
-    if xd.ndim != 4:
-        raise ValueError(f"batch_norm: expected NCHW input, got shape {xd.shape}")
-    n, _, h, w = xd.shape
-    if n * h * w < 2:
-        raise ValueError("batch_norm: train mode needs at least 2 values per channel")
-    mu = xd.mean(axis=_BN_AXES, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=_BN_AXES, keepdims=True)
-    inv = (var + xd.dtype.type(BN_EPS)) ** xd.dtype.type(-0.5)
-    return mu, var, inv, xc * inv
-
-
-def _centred(g: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """g - mean(g) - x^*mean(g*x^) per channel: the train-mode batch-norm
-    input VJP before its per-channel scale."""
-    return (g - g.mean(axis=_BN_AXES, keepdims=True)
-            - xhat * (g * xhat).mean(axis=_BN_AXES, keepdims=True))
-
-
 def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
                  mu: np.ndarray, var: np.ndarray, m: int) -> None:
     """Fold a batch's mean and biased variance over `m` values per channel
@@ -400,67 +378,74 @@ def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
 
 
 def batch_norm(x: Variable, gamma: Variable, beta: Variable,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               train: bool, update_running: bool = True) -> Variable:
-    """Per-channel batch normalization on NCHW input.
+               running_mean: np.ndarray, running_var: np.ndarray) -> Variable:
+    """Inference-mode per-channel batch normalization on NCHW input.
 
-    Train mode normalizes by batch statistics (and, when `update_running`,
-    folds the unbiased batch variance into the running buffers in place);
-    eval mode normalizes by the running buffers. One graph node with edges
-    to the input, gamma and beta. The input VJP is the closed form of Ioffe
-    & Szegedy (2015): with x^ the normalized input and inv = 1/sqrt(var+BN_EPS),
-    dx = gamma*inv * (g - mean(g) - x^*mean(g*x^)) in train mode, where the
-    batch statistics depend on x, and dx = gamma*inv * g in eval mode.
+    Normalizes by the running buffers, x^ = (x - running_mean) * inv with
+    inv = 1/sqrt(running_var + BN_EPS), then out = x^*gamma + beta. One
+    graph node with edges to the input, gamma and beta; dx = gamma*inv * g.
+    Train mode, which normalizes by batch statistics, is `normalize` then
+    `affine_relu`.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"batch_norm: expected NCHW input, got shape {xd.shape}")
-    n, c, h, w = xd.shape
+    c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(
             f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
-    if train:
-        mu, var, inv, xhat = _batch_stats(xd)
-        if update_running:
-            fold_running(running_mean, running_var, mu, var, n * h * w)
-    else:
-        inv = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(1, c, 1, 1).astype(xd.dtype)
-        shift = running_mean.reshape(1, c, 1, 1).astype(xd.dtype)
-        xhat = (xd - shift) * inv
+    inv = (1.0 / np.sqrt(running_var + BN_EPS)).reshape(1, c, 1, 1).astype(xd.dtype)
+    shift = running_mean.reshape(1, c, 1, 1).astype(xd.dtype)
+    xhat = (xd - shift) * inv
     gd = gamma.data.reshape(1, c, 1, 1)
     out = xhat * gd + beta.data.reshape(1, c, 1, 1)
     coef = gd * inv
-
-    def vjp_x(g: np.ndarray) -> np.ndarray:
-        return coef * _centred(g, xhat) if train else g * coef
-
     return _op(out, [
-        (x, vjp_x),
+        (x, lambda g: g * coef),
         (gamma, lambda g: (g * xhat).sum(axis=_BN_AXES)),
         (beta, lambda g: g.sum(axis=_BN_AXES)),
     ])
 
 
 def normalize(x: Variable) -> tuple[Variable, np.ndarray, np.ndarray]:
-    """Train-mode batch norm without the affine: the node x^ plus the batch
-    mean and biased variance for `fold_running`.
+    """Train-mode batch norm without the affine: the node x^ = (x - mu) * inv,
+    inv = 1/sqrt(var + BN_EPS), plus the batch mean mu and biased variance var.
 
     A channel's statistics do not depend on the channels beside it, so a
     dense block normalizes each chunk once for every layer that reads it.
-    The VJP is batch norm's at gamma = 1, dx = inv * (h - mean(h) -
-    x^*mean(h*x^)), applied once to h, the sum of every reader's gradient.
+    The VJP is Ioffe & Szegedy's (2015) closed form at gamma = 1, dx = inv *
+    (h - mean(h) - x^*mean(h*x^)), applied once to h, the sum of every
+    reader's gradient.
     """
-    mu, var, inv, xhat = _batch_stats(x.data)
-    return _op(xhat, [(x, lambda g: inv * _centred(g, xhat))]), mu, var
+    xd = x.data
+    if xd.ndim != 4:
+        raise ValueError(f"normalize: expected NCHW input, got shape {xd.shape}")
+    n, _, h, w = xd.shape
+    if n * h * w < 2:
+        raise ValueError("normalize: batch statistics need at least 2 values per channel")
+    mu = xd.mean(axis=_BN_AXES, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=_BN_AXES, keepdims=True)
+    inv = (var + xd.dtype.type(BN_EPS)) ** xd.dtype.type(-0.5)
+    xhat = xc * inv
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        return inv * (g - g.mean(axis=_BN_AXES, keepdims=True)
+                      - xhat * (g * xhat).mean(axis=_BN_AXES, keepdims=True))
+
+    return _op(xhat, [(x, vjp)]), mu, var
 
 
-def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Variable:
+def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
+                relu: bool = True) -> Variable:
     """relu(x * gamma + beta) per channel over the channel concatenation of
-    the NCHW `xs`, as one node with an edge to each x, gamma and beta.
+    the NCHW `xs` (no relu when not `relu`), as one node with an edge to
+    each x, gamma and beta.
 
-    Over `normalize` outputs this is a train-mode batch norm + relu that
+    Over `normalize` outputs this is a train-mode batch norm (+ relu) that
     keeps neither the concatenation nor the pre-relu values, only the relu
-    mask; each x's VJP is gamma * g on its own channels.
+    mask; each x's VJP is gamma * g on its own channels. `backward` hands
+    every edge of a node the same g in a row, so the edges share one g * mask.
     """
     xd = xs[0].data if len(xs) == 1 else np.concatenate([v.data for v in xs], axis=1)
     c = xd.shape[1]
@@ -469,17 +454,21 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable) -> Vari
             f"affine_relu: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
     gd = gamma.data.reshape(1, c, 1, 1)
     out = xd * gd + beta.data.reshape(1, c, 1, 1)
-    mask = out > 0
-    out *= mask
+    if relu:
+        mask = out > 0
+        out *= mask
+    memo = [None, None]  # the g the edges were last handed, and g * mask
 
-    def masked(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return g[:, lo:hi] * mask[:, lo:hi]
+    def masked(g: np.ndarray) -> np.ndarray:
+        if relu and memo[0] is not g:
+            memo[:] = g, g * mask
+        return memo[1] if relu else g
 
     spans = _channel_spans(xs)
-    edges = [(v, lambda g, lo=lo, hi=hi: masked(g, lo, hi) * gd[:, lo:hi]) for v, lo, hi in spans]
+    edges = [(v, lambda g, lo=lo, hi=hi: masked(g)[:, lo:hi] * gd[:, lo:hi]) for v, lo, hi in spans]
     edges.append((gamma, lambda g: np.concatenate(
-        [(masked(g, lo, hi) * v.data).sum(axis=_BN_AXES) for v, lo, hi in spans])))
-    edges.append((beta, lambda g: masked(g, 0, c).sum(axis=_BN_AXES)))
+        [(masked(g)[:, lo:hi] * v.data).sum(axis=_BN_AXES) for v, lo, hi in spans])))
+    edges.append((beta, lambda g: masked(g).sum(axis=_BN_AXES)))
     return _op(out, edges)
 
 
@@ -536,18 +525,20 @@ def backward(root: Variable) -> None:
 
 def _analytic_grads(fn: Callable[[], Variable], params: list[Variable],
                     caller: str) -> list[np.ndarray]:
-    """float64 copies of d fn() / d p, leaving each p's accumulated gradient as it was."""
+    """float64 copies of d fn() / d p, leaving each p's accumulated gradient
+    as it was, also when `fn` or `backward` raises."""
     saved_grads = [p._grad for p in params]
     for p in params:
         p._grad = None
-    out = fn()
-    if out.data.size != 1:
-        raise ValueError(f"{caller}: function must produce a scalar")
-    backward(out)
-    grads = [np.asarray(p.grad, dtype=np.float64).copy() for p in params]
-    for p, g in zip(params, saved_grads):
-        p._grad = g
-    return grads
+    try:
+        out = fn()
+        if out.data.size != 1:
+            raise ValueError(f"{caller}: function must produce a scalar")
+        backward(out)
+        return [np.asarray(p.grad, dtype=np.float64).copy() for p in params]
+    finally:
+        for p, g in zip(params, saved_grads):
+            p._grad = g
 
 
 def grad_check_directional(fn: Callable[[], Variable], params: Sequence[Variable],
@@ -559,7 +550,8 @@ def grad_check_directional(fn: Callable[[], Variable], params: Sequence[Variable
     well-conditioned probe makes this robust to the relu-kink noise that
     contaminates coordinate-wise probes on deep centered networks. Returns
     the max relative error over tensors (tensors with ~zero gradient are
-    skipped: there is nothing to verify against).
+    skipped: there is nothing to verify against). Parameter data and
+    gradients are restored before returning, also when `fn` raises.
     """
     params = list(params)
     worst = 0.0
@@ -569,12 +561,14 @@ def grad_check_directional(fn: Callable[[], Variable], params: Sequence[Variable
             continue
         d = (g / norm).astype(p.data.dtype)
         orig = p.data.copy()
-        p.data += (h * d).astype(p.data.dtype)
-        fp = fn().item()
-        np.copyto(p.data, orig)
-        p.data -= (h * d).astype(p.data.dtype)
-        fm = fn().item()
-        np.copyto(p.data, orig)
+        try:
+            p.data += (h * d).astype(p.data.dtype)
+            fp = fn().item()
+            np.copyto(p.data, orig)
+            p.data -= (h * d).astype(p.data.dtype)
+            fm = fn().item()
+        finally:
+            np.copyto(p.data, orig)
         num = (fp - fm) / (2.0 * h)
         err = abs(norm - num) / max(norm, abs(num), 1e-6)
         worst = max(worst, err)
@@ -587,10 +581,10 @@ def grad_check(fn: Callable[[], Variable], params: Sequence[Variable],
 
     `fn` must rebuild the same deterministic scalar from the current values
     of `params` on every call (no side effects). Parameter data and gradients
-    are restored before returning. With `top`, only each tensor's `top`
-    largest-|gradient| coordinates are probed: they carry the verifiable
-    signal, while tiny ones sit at the FD noise floor and measure
-    conditioning, not correctness.
+    are restored before returning, also when `fn` raises. With `top`, only
+    each tensor's `top` largest-|gradient| coordinates are probed: they
+    carry the verifiable signal, while tiny ones sit at the FD noise floor
+    and measure conditioning, not correctness.
     """
     params = list(params)
     worst = 0.0
@@ -600,13 +594,15 @@ def grad_check(fn: Callable[[], Variable], params: Sequence[Variable],
         idxs = range(flat.size) if top is None else np.argsort(-np.abs(a))[:top]
         for i in idxs:
             orig = flat[i].copy()
-            flat[i] = orig + h
-            step_up = float(flat[i]) - float(orig)
-            fp = fn().item()
-            flat[i] = orig - h
-            step_dn = float(orig) - float(flat[i])
-            fm = fn().item()
-            flat[i] = orig
+            try:
+                flat[i] = orig + h
+                step_up = float(flat[i]) - float(orig)
+                fp = fn().item()
+                flat[i] = orig - h
+                step_dn = float(orig) - float(flat[i])
+                fm = fn().item()
+            finally:
+                flat[i] = orig
             num = (fp - fm) / (step_up + step_dn)
             err = abs(float(a[i]) - num) / max(abs(float(a[i])), abs(num), 1e-6)
             worst = max(worst, err)

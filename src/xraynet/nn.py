@@ -125,7 +125,8 @@ class Conv2d:
 
 class BatchNorm2d:
     """Batch norm then relu, the one call for every layer that normalizes;
-    `norm` is the batch norm alone, for the residual sums that relu later."""
+    with `relu=False` the batch norm alone, for the residual sums that relu
+    later."""
 
     def __init__(self, store: ParameterStore, name: str, c: int, dtype):
         self.gamma = store.register(f"{name}.gamma", Variable(np.ones(c, dtype=dtype), requires_grad=True))
@@ -134,35 +135,35 @@ class BatchNorm2d:
         self.running_var = store.register_buffer(f"{name}.running_var", np.ones(c, dtype=dtype))
 
     def __call__(self, x: Variable | list[Variable], train: bool, update_stats: bool,
-                 norms: list[tuple[Variable, np.ndarray, np.ndarray]] | None = None) -> Variable:
-        """relu(batch norm of `x`). `x` is a Variable, or a dense block's list
-        of channel chunks, read as their concatenation, with `norms` the
-        block's `ad.normalize` results of its leading chunks.
+                 norms: list[tuple[Variable, np.ndarray, np.ndarray]] | None = None,
+                 relu: bool = True) -> Variable:
+        """relu(batch norm of `x`). `x` is a Variable, read as one channel
+        chunk, or a dense block's list of chunks, read as their
+        concatenation, with `norms` the block's `ad.normalize` results of
+        its leading chunks.
 
-        A train-mode layer over chunks normalizes the chunks `norms` lacks,
-        appends them, and applies only its own affine and relu to the shared
-        chunks (Pleiss et al. 2017, arXiv:1707.06990): the values and running
-        buffer update of a batch norm over the concatenation.
+        Train mode normalizes the chunks `norms` lacks, appends them, and
+        applies the layer's own affine and relu to all of them (Pleiss et al.
+        2017, arXiv:1707.06990): the values and running buffer update of a
+        batch norm over the concatenation. A frozen layer runs in inference
+        mode, as a Keras layer with trainable = False does: running
+        statistics, buffers left as they are.
         """
-        if norms is None or not (train and self.gamma.requires_grad):
+        if not (train and self.gamma.requires_grad):
             if not isinstance(x, Variable):
                 x = x[0] if len(x) == 1 else ad.concat_channels(x)
-            x = self.norm(x, train, update_stats)  # frees a concatenation before relu runs
-            return ad.relu(x)
-        norms += [ad.normalize(f) for f in x[len(norms):]]
+            # rebinding x frees a concatenation before relu runs
+            x = ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var)
+            return ad.relu(x) if relu else x
+        chunks = [x] if isinstance(x, Variable) else x
+        norms = [] if norms is None else norms
+        norms += [ad.normalize(f) for f in chunks[len(norms):]]
         xhats, means, variances = zip(*norms)
         if update_stats:
             ad.fold_running(self.running_mean, self.running_var,
                             np.concatenate(means, axis=1), np.concatenate(variances, axis=1),
                             xhats[0].data.size // xhats[0].data.shape[1])
-        return ad.affine_relu(xhats, self.gamma, self.beta)
-
-    def norm(self, x: Variable, train: bool, update_stats: bool) -> Variable:
-        # a frozen layer runs in inference mode, as a Keras layer with
-        # trainable = False does: running statistics, buffers left as they are
-        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             train=train and self.gamma.requires_grad,
-                             update_running=update_stats)
+        return ad.affine_relu(xhats, self.gamma, self.beta, relu)
 
 
 class Linear:
@@ -202,8 +203,10 @@ class ResidualBlock:
         # skip runs first and x's gradient buffer stays open through the main
         # path, whose saved arrays the walk frees as it passes them
         h = self.bn1(self.conv1(x), train, update_stats)
-        h = self.bn2.norm(self.conv2(h), train, update_stats)
-        skip = x if self.proj is None else self.proj_bn.norm(self.proj(x), train, update_stats)
+        h = self.bn2(self.conv2(h), train, update_stats, relu=False)
+        skip = x
+        if self.proj is not None:
+            skip = self.proj_bn(self.proj(x), train, update_stats, relu=False)
         return ad.relu(ad.add(h, skip))
 
 

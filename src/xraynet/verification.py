@@ -78,18 +78,15 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     xb = Variable(rng.uniform_array((2, 2, 3, 3), -0.4, 0.4).astype(dtype), requires_grad=True)
     gamma = Variable(_positive(rng, (2,), dtype, 0.8, 1.2), requires_grad=True)
     beta = Variable(rng.uniform_array((2,), -0.1, 0.1).astype(dtype), requires_grad=True)
-    rm, rv = np.zeros(2, dtype=dtype), np.ones(2, dtype=dtype)
     pbn = _positive(rng, (2, 2, 3, 3), dtype)
-    check("batch_norm", lambda: ad.batch_norm(xb, gamma, beta, rm, rv, train=True,
-                                              update_running=False), pbn, [xb, gamma, beta])
     # fixed running buffers, not rng draws, so later probes keep their inputs
     rme, rve = np.array([0.1, -0.2], dtype=dtype), np.array([0.5, 2.0], dtype=dtype)
-    check("batch_norm_eval", lambda: ad.batch_norm(xb, gamma, beta, rme, rve, train=False),
+    check("batch_norm_eval", lambda: ad.batch_norm(xb, gamma, beta, rme, rve),
           pbn, [xb, gamma, beta])
 
-    # the dense block's split train-mode batch norm: normalize at the
-    # batch_norm probe's input, and affine_relu (on a stream of its own) over
-    # two chunks whose |x*gamma + beta| >= 0.1 keeps every input off the kink
+    # train-mode batch norm: normalize at the same input, and affine_relu (on
+    # a stream of its own) over two chunks whose |x*gamma + beta| >= 0.1 keeps
+    # every input off the kink, with and without the relu
     check("normalize", lambda: ad.normalize(xb)[0], pbn, [xb])
     ra = derive_stream(OPS_SEED, "gradcheck.ops.affine_relu")
     xa1 = Variable(_signed_away_from_zero(ra, (2, 2, 3, 3), dtype), requires_grad=True)
@@ -97,7 +94,8 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     ga = Variable(_positive(ra, (3,), dtype, 0.8, 1.2), requires_grad=True)
     ba = Variable(ra.uniform_array((3,), -0.05, 0.05).astype(dtype), requires_grad=True)
     pa3 = _positive(ra, (2, 3, 3, 3), dtype)
-    check("affine_relu", lambda: ad.affine_relu([xa1, xa2], ga, ba), pa3, [xa1, xa2, ga, ba])
+    for name, relu in (("affine_relu", True), ("affine", False)):
+        check(name, lambda: ad.affine_relu([xa1, xa2], ga, ba, relu), pa3, [xa1, xa2, ga, ba])
 
     xr = Variable(_signed_away_from_zero(rng, (3, 5), dtype), requires_grad=True)
     pr = _positive(rng, (3, 5), dtype)

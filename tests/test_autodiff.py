@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xraynet import autodiff as ad
-from xraynet.autodiff import Variable, backward, grad_check
+from xraynet.autodiff import Variable, backward, grad_check, grad_check_directional
+from xraynet.nn import BatchNorm2d, ParameterStore
 from xraynet.rng import Pcg32
 
 
@@ -184,6 +185,9 @@ class TestConv2d:
 
 
 class TestBatchNorm:
+    """Train mode is `normalize` then `affine_relu`, as `BatchNorm2d` calls
+    them; inference mode is `batch_norm` over the running buffers."""
+
     def test_already_normalized_input_passthrough(self):
         rng = Pcg32(7, 0)
         x = rng.uniform_array((4, 2, 4, 4), -1, 1)
@@ -191,8 +195,8 @@ class TestBatchNorm:
         x = (x / np.sqrt((x ** 2).mean(axis=(0, 2, 3), keepdims=True))).astype(np.float32)
         gamma = Variable(np.ones(2, dtype=np.float32))
         beta = Variable(np.zeros(2, dtype=np.float32))
-        out = ad.batch_norm(Variable(x), gamma, beta, np.zeros(2, np.float32),
-                            np.ones(2, np.float32), train=True, update_running=False)
+        xhat, _, _ = ad.normalize(Variable(x))
+        out = ad.affine_relu([xhat], gamma, beta, relu=False)
         npt.assert_allclose(out.data, x, atol=1e-4)
 
     def test_zero_gamma_yields_beta_and_kills_input_gradient(self):
@@ -200,8 +204,7 @@ class TestBatchNorm:
         x = Variable(rng.uniform_array((2, 3, 4, 4), -1, 1).astype(np.float32), requires_grad=True)
         gamma = Variable(np.zeros(3, dtype=np.float32), requires_grad=True)
         beta = Variable(np.array([0.5, -1.0, 2.0], dtype=np.float32), requires_grad=True)
-        out = ad.batch_norm(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-                            train=True, update_running=False)
+        out = ad.affine_relu([ad.normalize(x)[0]], gamma, beta, relu=False)
         expect = np.broadcast_to(beta.data.reshape(1, 3, 1, 1), out.shape)
         npt.assert_allclose(out.data, expect, atol=1e-7)
         backward(ad.sum_axes(out))
@@ -210,51 +213,74 @@ class TestBatchNorm:
     def test_train_mode_moments_recomputed(self):
         rng = Pcg32(9, 0)
         x = rng.uniform_array((2, 3, 4, 4), -2, 2).astype(np.float32)
-        out = ad.batch_norm(Variable(x), Variable(np.ones(3, np.float32)),
-                            Variable(np.zeros(3, np.float32)), np.zeros(3, np.float32),
-                            np.ones(3, np.float32), train=True, update_running=False)
+        xhat, _, _ = ad.normalize(Variable(x))
         # independent moment computation over the normalized output
-        mean = out.data.mean(axis=(0, 2, 3))
-        var = out.data.var(axis=(0, 2, 3))
+        mean = xhat.data.mean(axis=(0, 2, 3))
+        var = xhat.data.var(axis=(0, 2, 3))
         npt.assert_allclose(mean, np.zeros(3), atol=1e-6)
         npt.assert_allclose(var, np.ones(3), atol=1e-4)
 
     def test_single_value_per_channel_rejected_in_train_mode(self):
         x = Variable(np.zeros((1, 3, 1, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="at least 2"):
-            ad.batch_norm(x, Variable(np.ones(3, np.float32)), Variable(np.zeros(3, np.float32)),
-                          np.zeros(3, np.float32), np.ones(3, np.float32), train=True)
+            ad.normalize(x)
+        bn = BatchNorm2d(ParameterStore(), "bn", 3, np.float32)
+        with pytest.raises(ValueError, match="at least 2"):
+            bn(x, train=True, update_stats=True)
 
     def test_eval_mode_uses_running_stats(self):
         x = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
         rm = np.array([1.0], dtype=np.float32)
         rv = np.array([4.0], dtype=np.float32)
         out = ad.batch_norm(Variable(x), Variable(np.ones(1, np.float32)),
-                            Variable(np.zeros(1, np.float32)), rm, rv, train=False)
+                            Variable(np.zeros(1, np.float32)), rm, rv)
         npt.assert_allclose(out.data, np.full_like(x, (3.0 - 1.0) / np.sqrt(4.0 + 1e-5)), rtol=1e-5)
 
     def test_running_stats_update(self):
         rng = Pcg32(10, 0)
         x = rng.uniform_array((2, 1, 3, 3), -1, 1).astype(np.float32)
-        rm = np.zeros(1, dtype=np.float32)
-        rv = np.ones(1, dtype=np.float32)
-        ad.batch_norm(Variable(x), Variable(np.ones(1, np.float32)),
-                      Variable(np.zeros(1, np.float32)), rm, rv, train=True, update_running=True)
+        bn = BatchNorm2d(ParameterStore(), "bn", 1, np.float32)
+        bn(Variable(x), train=True, update_stats=True)
         m = x.size
         bm = x.mean()
         bv = x.var() * m / (m - 1)
-        npt.assert_allclose(rm, 0.9 * 0.0 + 0.1 * bm, rtol=1e-5)
-        npt.assert_allclose(rv, 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
+        npt.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * bm, rtol=1e-5)
+        npt.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
 
-    @pytest.mark.parametrize("train", [True, False])
-    def test_one_node_with_x_gamma_beta_edges(self, train):
+    def test_eval_mode_is_one_node_with_x_gamma_beta_edges(self):
         rng = Pcg32(11, 0)
         x = Variable(rng.uniform_array((2, 3, 4, 4), -1, 1).astype(np.float32), requires_grad=True)
         gamma = Variable(np.ones(3, np.float32), requires_grad=True)
         beta = Variable(np.zeros(3, np.float32), requires_grad=True)
-        out = ad.batch_norm(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-                            train=train, update_running=False)
+        out = ad.batch_norm(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32))
         assert [v for v, _ in out._edges] == [x, gamma, beta]
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_train_mode_is_normalize_then_affine_with_chunk_gamma_beta_edges(self, relu):
+        rng = Pcg32(11, 0)
+        x1, x2 = (Variable(rng.uniform_array((2, c, 4, 4), -1, 1).astype(np.float32),
+                           requires_grad=True) for c in (3, 2))
+        gamma = Variable(np.ones(5, np.float32), requires_grad=True)
+        beta = Variable(np.zeros(5, np.float32), requires_grad=True)
+        h1, h2 = ad.normalize(x1)[0], ad.normalize(x2)[0]
+        assert [v for v, _ in h1._edges] == [x1]
+        out = ad.affine_relu([h1, h2], gamma, beta, relu)
+        assert [v for v, _ in out._edges] == [h1, h2, gamma, beta]
+
+    def test_affine_relu_edges_take_each_new_gradient(self):
+        # the edges share one masked gradient per g handed to them: a second
+        # g of other values, even at an equal shape, must not reuse the first
+        x = Variable(np.array([-1.0, 2.0, 3.0, -4.0], np.float32).reshape(1, 2, 1, 2),
+                     requires_grad=True)
+        gamma = Variable(np.array([2.0, 3.0], np.float32), requires_grad=True)
+        beta = Variable(np.zeros(2, np.float32), requires_grad=True)
+        out = ad.affine_relu([x], gamma, beta)
+        mask = np.array([0.0, 1.0, 1.0, 0.0], np.float32).reshape(1, 2, 1, 2)
+        for g in (np.ones_like(x.data), np.full_like(x.data, 5.0), np.ones_like(x.data)):
+            dx, dgamma, dbeta = (f(g) for _, f in out._edges)
+            npt.assert_array_equal(dx, g * mask * gamma.data.reshape(1, 2, 1, 1))
+            npt.assert_array_equal(dgamma, (g * mask * x.data).sum(axis=(0, 2, 3)))
+            npt.assert_array_equal(dbeta, (g * mask).sum(axis=(0, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bit_identical_to_numpy_sequence(self, dtype):
@@ -281,13 +307,17 @@ class TestBatchNorm:
         scale = (1.0 / np.sqrt(rv + eps)).reshape(1, 4, 1, 1).astype(dtype)
         expect_eval = ((x - rm.reshape(1, 4, 1, 1)) * scale) * gs + bs
 
-        out_eval = ad.batch_norm(Variable(x), Variable(g), Variable(b), rm, rv, train=False)
-        run_m, run_v = rm.copy(), rv.copy()
-        out_train = ad.batch_norm(Variable(x), Variable(g), Variable(b), run_m, run_v, train=True)
+        out_eval = ad.batch_norm(Variable(x), Variable(g), Variable(b), rm, rv)
         npt.assert_array_equal(out_eval.data, expect_eval)
+        bn = BatchNorm2d(ParameterStore(), "bn", 4, dtype)
+        bn.gamma.data[...], bn.beta.data[...] = g, b
+        bn.running_mean[...], bn.running_var[...] = rm, rv
+        out_train = bn(Variable(x), train=True, update_stats=True, relu=False)
+        out_relu = bn(Variable(x), train=True, update_stats=False)
         npt.assert_array_equal(out_train.data, expect_train)
-        npt.assert_array_equal(run_m, expect_rm.astype(dtype))
-        npt.assert_array_equal(run_v, expect_rv.astype(dtype))
+        npt.assert_array_equal(out_relu.data, expect_train * (expect_train > 0))
+        npt.assert_array_equal(bn.running_mean, expect_rm.astype(dtype))
+        npt.assert_array_equal(bn.running_var, expect_rv.astype(dtype))
 
 
 class TestSimpleOps:
@@ -513,3 +543,22 @@ class TestGradCheck:
         assert ad.relu(x64).dtype == np.float64
         x32 = Variable(np.ones((2, 2, 2, 2), dtype=np.float32), requires_grad=True)
         assert ad.global_avg_pool(x32).dtype == np.float32
+
+    @pytest.mark.parametrize("check", [grad_check, grad_check_directional])
+    @pytest.mark.parametrize("fails_on", [1, 2])
+    def test_raising_fn_leaves_data_and_gradient_as_they_were(self, check, fails_on):
+        # call 1 builds the analytic gradient, call 2 is the first probe at +h
+        x = Variable(np.ones(2), requires_grad=True)
+        x._grad = np.ones(2)
+        calls = []
+
+        def fn():
+            calls.append(None)
+            if len(calls) == fails_on:
+                raise RuntimeError("fn failed")
+            return ad.sum_axes(ad.bmul(x, x))
+
+        with pytest.raises(RuntimeError, match="fn failed"):
+            check(fn, [x])
+        npt.assert_array_equal(x.data, [1.0, 1.0])
+        npt.assert_array_equal(x.grad, [1.0, 1.0])

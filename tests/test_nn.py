@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from xraynet import autodiff as ad
-from xraynet.autodiff import Variable, backward, grad_check_directional
+from xraynet.autodiff import (Variable, affine_relu, backward, batch_norm, fold_running,
+                              grad_check_directional, normalize)
 from xraynet.nn import (ArchitectureConfig, BatchNorm2d, DenseBlock, ParameterStore,
-                        ResidualBlock, build_model, freeze_backbone, mini_densenet,
-                        mini_resnet, replace_head)
+                        ResidualBlock, Transition, build_model, freeze_backbone,
+                        mini_densenet, mini_resnet, replace_head)
 from xraynet.rng import derive_stream
 
 
@@ -112,6 +113,22 @@ class TestResidualBlock:
         out = block(Variable(small_input((2, 4, 8, 8))), train=True, update_stats=False)
         assert out.shape == (2, 8, 4, 4)
 
+    def test_train_mode_makes_no_batch_norm_call(self, monkeypatch):
+        # every train-mode batch norm is normalize + affine_relu; batch_norm
+        # is inference mode only
+        store = ParameterStore()
+        block = ResidualBlock(store, "blk", 4, 8, 2, derive_stream(6, "init"), np.float32)
+        assert block.proj_bn is not None
+
+        def refused(*args, **kwargs):
+            raise AssertionError("batch_norm called in a train-mode block")
+
+        monkeypatch.setattr(ad, "batch_norm", refused)
+        x = Variable(small_input((2, 4, 8, 8)), requires_grad=True)
+        backward(ad.sum_axes(block(x, train=True, update_stats=True)))
+        assert np.abs(x.grad).max() > 0
+        assert all(np.abs(p.grad).max() > 0 for p in store.params.values())
+
     def test_gradients_match_fd(self):
         store = ParameterStore()
         block = ResidualBlock(store, "blk", 3, 3, 1, derive_stream(7, "init"), np.float32)
@@ -152,14 +169,23 @@ class TestDenseBlockStructure:
 
 def per_layer_reference(block, x, train, update_stats):
     """The dense block as each layer's batch norm -> relu -> conv over the
-    concatenation of every earlier chunk, composed from the ops alone (a
-    frozen layer normalizes by its running statistics)."""
+    concatenation of every earlier chunk, composed from the ops alone with
+    nothing shared between layers: in train mode each layer normalizes its
+    own concatenation, and a frozen layer normalizes by its running
+    statistics. The ops are bound at import, so a test that patches
+    `ad.affine_relu` or `ad.normalize` changes the block, not this oracle."""
     feats = [x]
     for bn, conv in block.layers:
         cat = feats[0] if len(feats) == 1 else ad.concat_channels(feats)
-        h = ad.batch_norm(cat, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                          train=train and bn.gamma.requires_grad, update_running=update_stats)
-        feats.append(conv(ad.relu(h)))
+        if train and bn.gamma.requires_grad:
+            xhat, mu, var = normalize(cat)
+            if update_stats:
+                fold_running(bn.running_mean, bn.running_var, mu, var,
+                             xhat.data.size // xhat.data.shape[1])
+            h = affine_relu([xhat], bn.gamma, bn.beta)
+        else:
+            h = ad.relu(batch_norm(cat, bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+        feats.append(conv(h))
     return ad.concat_channels(feats)
 
 
@@ -232,8 +258,8 @@ class TestDenseBlockSharedStatistics:
         shape = self.SHAPES["odd"]
         real = ad.affine_relu
 
-        def broken(xs, gamma, beta):
-            out = real(xs, gamma, beta)
+        def broken(xs, gamma, beta, relu=True):
+            out = real(xs, gamma, beta, relu)
             drop = xs[:-1] if mutant == "own_chunk_only" else \
                 (xs if len(xs) == shape[2] else [])
             out._edges = tuple((v, f) for v, f in out._edges
@@ -255,7 +281,7 @@ class TestDenseBlockSharedStatistics:
         real_bn = ad.batch_norm
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["train"])
+            calls.append(None)
             return real_bn(*args, **kwargs)
 
         def refused(x):
@@ -264,15 +290,34 @@ class TestDenseBlockSharedStatistics:
         monkeypatch.setattr(ad, "batch_norm", counted)
         monkeypatch.setattr(ad, "normalize", refused)
         out = block(Variable(x), train, True)
-        assert calls == [False] * len(block.layers)
+        assert len(calls) == len(block.layers)
         assert out.data.tobytes() == want.tobytes()
 
 
-def test_train_mode_batch_norm_ops_run_inside_their_layer(monkeypatch):
-    """In a train-mode MiniDenseNet forward each dense layer's `affine_relu`
-    runs inside that layer's `BatchNorm2d` call, with its gamma and beta, and
-    every `normalize` inside the call of the first layer to read the chunk."""
-    model = build_model(mini_densenet(input_size=16), derive_stream(40, "init"))
+def forward_order_batch_norms(model):
+    """(layer, relu) for each `BatchNorm2d` of `model`, in forward order."""
+    out = []
+    for block in model.body:
+        if isinstance(block, BatchNorm2d):
+            out.append((block, True))
+        elif isinstance(block, DenseBlock):
+            out += [(bn, True) for bn, _ in block.layers]
+        elif isinstance(block, Transition):
+            out.append((block.bn, True))
+        else:
+            out += [(block.bn1, True), (block.bn2, False)]
+            if block.proj_bn is not None:
+                out.append((block.proj_bn, False))
+    return out
+
+
+@pytest.mark.parametrize("family", ["resnet", "densenet"])
+def test_train_mode_batch_norm_ops_run_inside_their_layer(monkeypatch, family):
+    """In a train-mode forward every `BatchNorm2d` call ends in one
+    `affine_relu` with its gamma and beta, the relu left out only before a
+    residual sum, and every `normalize` runs inside the call of the first
+    layer to read the chunk."""
+    model = build_model(ArchitectureConfig(family, 16), derive_stream(40, "init"))
     frames, owners = [], []  # (layer, the normalize outputs made in its call)
     real_call, real_normalize, real_affine = BatchNorm2d.__call__, ad.normalize, ad.affine_relu
 
@@ -289,21 +334,20 @@ def test_train_mode_batch_norm_ops_run_inside_their_layer(monkeypatch):
         frames[-1][1].append(out[0])
         return out
 
-    def affine_relu(xs, gamma, beta):
+    def affine_relu(xs, gamma, beta, relu=True):
         assert frames, "affine_relu outside a BatchNorm2d call"
         layer, made = frames[-1]
         assert gamma is layer.gamma and beta is layer.beta
         # each layer is the first to read exactly one chunk: the newest
         assert len(made) == 1 and xs[-1] is made[0]
-        owners.append(layer)
-        return real_affine(xs, gamma, beta)
+        owners.append((layer, relu))
+        return real_affine(xs, gamma, beta, relu)
 
     monkeypatch.setattr(BatchNorm2d, "__call__", call)
     monkeypatch.setattr(ad, "normalize", normalize)
     monkeypatch.setattr(ad, "affine_relu", affine_relu)
     model.forward(small_input((2, 1, 16, 16)), train=True)
-    assert owners == [bn for block in model.body if isinstance(block, DenseBlock)
-                      for bn, _ in block.layers]
+    assert owners == forward_order_batch_norms(model)
 
 
 class TestHeadAndFreeze:
