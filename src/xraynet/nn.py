@@ -146,16 +146,14 @@ class BatchNorm2d:
         applies the layer's own affine and relu to all of them (Pleiss et al.
         2017, arXiv:1707.06990): the values and running buffer update of a
         batch norm over the concatenation. A frozen layer runs in inference
-        mode, as a Keras layer with trainable = False does: running
-        statistics, buffers left as they are.
+        mode, as a Keras layer with trainable = False does: `ad.batch_norm`
+        over the chunks by the running statistics, relu included, buffers
+        left as they are.
         """
-        if not (train and self.gamma.requires_grad):
-            if not isinstance(x, Variable):
-                x = x[0] if len(x) == 1 else ad.concat_channels(x)
-            # rebinding x frees a concatenation before relu runs
-            x = ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var)
-            return ad.relu(x) if relu else x
         chunks = [x] if isinstance(x, Variable) else x
+        if not (train and self.gamma.requires_grad):
+            return ad.batch_norm(chunks, self.gamma, self.beta, self.running_mean,
+                                 self.running_var, relu)
         norms = [] if norms is None else norms
         norms += [ad.normalize(f) for f in chunks[len(norms):]]
         xhats, means, variances = zip(*norms)

@@ -81,8 +81,20 @@ def check_ops(f64: bool = False) -> dict[str, float]:
     pbn = _positive(rng, (2, 2, 3, 3), dtype)
     # fixed running buffers, not rng draws, so later probes keep their inputs
     rme, rve = np.array([0.1, -0.2], dtype=dtype), np.array([0.5, 2.0], dtype=dtype)
-    check("batch_norm_eval", lambda: ad.batch_norm(xb, gamma, beta, rme, rve),
+    check("batch_norm_eval", lambda: ad.batch_norm([xb], gamma, beta, rme, rve),
           pbn, [xb, gamma, beta])
+
+    # inference batch norm + relu over two chunks, on a stream of its own:
+    # |x - running_mean| >= 0.2 and |beta| <= 0.05 keep every
+    # |x^*gamma + beta| >= 0.06, off the kink
+    rr = derive_stream(OPS_SEED, "gradcheck.ops.batch_norm_relu")
+    rmr, rvr = np.array([0.1, -0.2, 0.3], dtype=dtype), np.array([0.5, 2.0, 1.0], dtype=dtype)
+    xr = _signed_away_from_zero(rr, (2, 3, 3, 3), dtype) + rmr.reshape(1, 3, 1, 1)
+    xr1, xr2 = (Variable(xr[:, lo:hi].copy(), requires_grad=True) for lo, hi in ((0, 2), (2, 3)))
+    gr = Variable(_positive(rr, (3,), dtype, 0.8, 1.2), requires_grad=True)
+    br = Variable(rr.uniform_array((3,), -0.05, 0.05).astype(dtype), requires_grad=True)
+    check("batch_norm_relu", lambda: ad.batch_norm([xr1, xr2], gr, br, rmr, rvr, relu=True),
+          _positive(rr, (2, 3, 3, 3), dtype), [xr1, xr2, gr, br])
 
     # train-mode batch norm: normalize at the same input, and affine_relu (on
     # a stream of its own) over two chunks whose |x*gamma + beta| >= 0.1 keeps

@@ -232,7 +232,7 @@ class TestBatchNorm:
         x = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
         rm = np.array([1.0], dtype=np.float32)
         rv = np.array([4.0], dtype=np.float32)
-        out = ad.batch_norm(Variable(x), Variable(np.ones(1, np.float32)),
+        out = ad.batch_norm([Variable(x)], Variable(np.ones(1, np.float32)),
                             Variable(np.zeros(1, np.float32)), rm, rv)
         npt.assert_allclose(out.data, np.full_like(x, (3.0 - 1.0) / np.sqrt(4.0 + 1e-5)), rtol=1e-5)
 
@@ -249,11 +249,14 @@ class TestBatchNorm:
 
     def test_eval_mode_is_one_node_with_x_gamma_beta_edges(self):
         rng = Pcg32(11, 0)
-        x = Variable(rng.uniform_array((2, 3, 4, 4), -1, 1).astype(np.float32), requires_grad=True)
-        gamma = Variable(np.ones(3, np.float32), requires_grad=True)
-        beta = Variable(np.zeros(3, np.float32), requires_grad=True)
-        out = ad.batch_norm(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32))
-        assert [v for v, _ in out._edges] == [x, gamma, beta]
+        x1, x2 = (Variable(rng.uniform_array((2, c, 4, 4), -1, 1).astype(np.float32),
+                           requires_grad=True) for c in (3, 2))
+        gamma = Variable(np.ones(5, np.float32), requires_grad=True)
+        beta = Variable(np.zeros(5, np.float32), requires_grad=True)
+        for relu in (True, False):
+            out = ad.batch_norm([x1, x2], gamma, beta, np.zeros(5, np.float32),
+                                np.ones(5, np.float32), relu)
+            assert [v for v, _ in out._edges] == [x1, x2, gamma, beta]
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_train_mode_is_normalize_then_affine_with_chunk_gamma_beta_edges(self, relu):
@@ -307,8 +310,11 @@ class TestBatchNorm:
         scale = (1.0 / np.sqrt(rv + eps)).reshape(1, 4, 1, 1).astype(dtype)
         expect_eval = ((x - rm.reshape(1, 4, 1, 1)) * scale) * gs + bs
 
-        out_eval = ad.batch_norm(Variable(x), Variable(g), Variable(b), rm, rv)
+        out_eval = ad.batch_norm([Variable(x)], Variable(g), Variable(b), rm, rv)
         npt.assert_array_equal(out_eval.data, expect_eval)
+        out_chunks = ad.batch_norm([Variable(x[:, :1]), Variable(x[:, 1:])],
+                                   Variable(g), Variable(b), rm, rv, relu=True)
+        npt.assert_array_equal(out_chunks.data, expect_eval * (expect_eval > 0))
         bn = BatchNorm2d(ParameterStore(), "bn", 4, dtype)
         bn.gamma.data[...], bn.beta.data[...] = g, b
         bn.running_mean[...], bn.running_var[...] = rm, rv
@@ -318,6 +324,139 @@ class TestBatchNorm:
         npt.assert_array_equal(out_relu.data, expect_train * (expect_train > 0))
         npt.assert_array_equal(bn.running_mean, expect_rm.astype(dtype))
         npt.assert_array_equal(bn.running_var, expect_rv.astype(dtype))
+
+
+def reference_relu_batch_norm(x, gamma, beta, rm, rv, g):
+    """relu(batch_norm(x)) over one NCHW array by the running buffers, as
+    separate numpy steps, and its VJP at g: (out, dx, dgamma, dbeta)."""
+    c4 = (1, x.shape[1], 1, 1)
+    inv = (1.0 / np.sqrt(rv + 1e-5)).reshape(c4).astype(x.dtype)
+    xhat = (x - rm.reshape(c4).astype(x.dtype)) * inv
+    pre = xhat * gamma.reshape(c4) + beta.reshape(c4)
+    mask = pre > 0
+    gm = g * mask
+    return (pre * mask, gm * (gamma.reshape(c4) * inv),
+            (gm * xhat).sum(axis=(0, 2, 3)), gm.sum(axis=(0, 2, 3)))
+
+
+def relu_before_beta(xs, gamma, beta, running_mean, running_var, relu=False):
+    """A wrong `batch_norm` for the tests to catch: relu ahead of + beta."""
+    zero = Variable(np.zeros_like(beta.data), requires_grad=True)
+    out = ad.batch_norm(xs, gamma, zero, running_mean, running_var, relu)
+    out.data += beta.data.reshape(1, -1, 1, 1)
+    return out
+
+
+class TestInferenceBatchNormChunks:
+    """`batch_norm` over channel chunks with its relu must give, bit for
+    bit, what relu(batch_norm) over their concatenation gives."""
+
+    @staticmethod
+    def _mismatches(batch_norm, dtype):
+        """Names of the results (out, each chunk's dx, dgamma, dbeta) that
+        differ in any bit from the numpy reference."""
+        rng = Pcg32(14, 0)
+        x = rng.uniform_array((3, 6, 5, 7), -2, 2).astype(dtype)
+        gamma = rng.uniform_array((6,), 0.5, 1.5).astype(dtype)
+        beta = rng.uniform_array((6,), -0.5, 0.5).astype(dtype)
+        rm = rng.uniform_array((6,), -0.3, 0.3).astype(dtype)
+        rv = rng.uniform_array((6,), 0.5, 2.0).astype(dtype)
+        g = rng.uniform_array(x.shape, -1, 1).astype(dtype)
+        xs = [Variable(x[:, lo:hi], requires_grad=True) for lo, hi in ((0, 1), (1, 4), (4, 6))]
+        gv, bv = Variable(gamma, requires_grad=True), Variable(beta, requires_grad=True)
+        out = batch_norm(xs, gv, bv, rm, rv, relu=True)
+        got = {"out": out.data, "dgamma": None, "dbeta": None}
+        for i, (v, vjp) in enumerate(out._edges):
+            name = {len(xs): "dgamma", len(xs) + 1: "dbeta"}.get(i, f"dx{i}")
+            got[name] = vjp(g)
+        want_out, dx, dgamma, dbeta = reference_relu_batch_norm(x, gamma, beta, rm, rv, g)
+        want = {"out": want_out, "dgamma": dgamma, "dbeta": dbeta,
+                "dx0": dx[:, 0:1], "dx1": dx[:, 1:4], "dx2": dx[:, 4:6]}
+        return [n for n, w in want.items()
+                if got.get(n) is None or got[n].dtype != w.dtype
+                or np.ascontiguousarray(got[n]).tobytes() != np.ascontiguousarray(w).tobytes()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_relu_of_batch_norm_over_the_concatenation(self, dtype):
+        assert self._mismatches(ad.batch_norm, dtype) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_before_beta_mutant_caught(self, dtype):
+        assert "out" in self._mismatches(relu_before_beta, dtype)
+
+    def test_frozen_forward_keeps_no_closures(self):
+        # frozen parameters and an input without gradient: nothing to save
+        x = Variable(np.ones((1, 2, 2, 2), np.float32))
+        gamma, beta = Variable(np.ones(2, np.float32)), Variable(np.zeros(2, np.float32))
+        out = ad.batch_norm([x], gamma, beta, np.zeros(2, np.float32), np.ones(2, np.float32), True)
+        assert out._edges == () and not out.requires_grad
+
+
+def reference_avg_pool(x):
+    """The 2x2 window mean over an (N, C, H//2, W//2, 2, 2) strided view,
+    and its VJP at g as a scatter of g/4 into the same view of zeros."""
+    n, c, h, w = x.shape
+    s0, s1, s2, s3 = x.strides
+
+    def windows(a):
+        return np.lib.stride_tricks.as_strided(
+            a, shape=(n, c, h // 2, w // 2, 2, 2), strides=(s0, s1, 2 * s2, 2 * s3, s2, s3))
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        windows(gx)[...] += (g * (1.0 / 4)).astype(x.dtype, copy=False)[..., None, None]
+        return gx
+
+    return windows(x).mean(axis=(4, 5)), vjp
+
+
+def left_to_right_avg_pool(x):
+    """A wrong `avg_pool2d` for the tests to catch: ((tl + tr) + bl) + br."""
+    oh, ow = x.data.shape[2] // 2, x.data.shape[3] // 2
+    tl, tr, bl, br = (x.data[:, :, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1))
+    return Variable((((tl + tr) + bl) + br) / 4)
+
+
+class TestPoolAndPadBitIdentity:
+    # odd and even sides, one pooled row; numpy's window mean adds a pooled
+    # map one window wide in another order, so every pooled width here is >= 2
+    SHAPES = [(2, 3, 8, 8), (3, 2, 7, 9), (1, 1, 5, 4), (2, 1, 3, 5)]
+
+    @staticmethod
+    def _pool_mismatches(pool, dtype):
+        """(shape, "out" or "dx") for each result of `pool` that differs in
+        any bit from `reference_avg_pool`."""
+        rng = Pcg32(15, 0)
+        bad = []
+        for shape in TestPoolAndPadBitIdentity.SHAPES:
+            # a third of each draw fills the float64 mantissa, so that the
+            # order of the window's sum shows in its last bits
+            x = (rng.uniform_array(shape, -1, 1) / 3).astype(dtype)
+            want, want_vjp = reference_avg_pool(x)
+            out = pool(Variable(x, requires_grad=True))
+            if out.data.tobytes() != want.tobytes() or out.dtype != want.dtype:
+                bad.append((shape, "out"))
+            g = rng.uniform_array(want.shape, -1, 1).astype(dtype)
+            if out._edges and out._edges[0][1](g).tobytes() != want_vjp(g).tobytes():
+                bad.append((shape, "dx"))
+        return bad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avg_pool_bit_identical_to_window_mean_and_scatter(self, dtype):
+        assert self._pool_mismatches(ad.avg_pool2d, dtype) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_left_to_right_sum_mutant_caught(self, dtype):
+        assert (self.SHAPES[0], "out") in self._pool_mismatches(left_to_right_avg_pool, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ph, pw", [(0, 0), (1, 1), (2, 0), (0, 3)])
+    def test_pad_matches_np_pad(self, dtype, ph, pw):
+        x = Pcg32(16, 0).uniform_array((2, 3, 4, 5), -1, 1).astype(dtype)
+        want = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        got = ad._pad(x, ph, pw)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSimpleOps:

@@ -184,7 +184,7 @@ def per_layer_reference(block, x, train, update_stats):
                              xhat.data.size // xhat.data.shape[1])
             h = affine_relu([xhat], bn.gamma, bn.beta)
         else:
-            h = ad.relu(batch_norm(cat, bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+            h = ad.relu(batch_norm([cat], bn.gamma, bn.beta, bn.running_mean, bn.running_var))
         feats.append(conv(h))
     return ad.concat_channels(feats)
 
