@@ -16,10 +16,13 @@ train mode `normalize` (x^ by batch statistics, once per channel chunk)
 then `affine_relu` (x^*gamma + beta and relu, once per layer over the
 chunks it reads), in inference mode `batch_norm` (running statistics,
 affine and relu as one node over the chunks it reads, each step done in
-place on the one output array it allocates). Each loss in
-`losses.py` is one `_op` node over the plain-array `_log_softmax`. No op
-broadcasts: `add` and the probe-only `bmul` require equal shapes, and the
-probe-only `sum_axes` sums everything.
+place on the one output array it allocates). `batch_norm` alone is
+forward-only: nothing differentiates inference mode, and a backward that
+reaches it raises. Every other differentiable op has a finite-difference
+probe in `verification.check_ops`. Each loss in `losses.py` is one `_op`
+node over the plain-array `_log_softmax`. No op broadcasts: `add` and the
+probe-only `bmul` require equal shapes, and the probe-only `sum_axes` sums
+everything.
 
 Inside `with no_grad():` every op returns a bare `Variable` that records no
 edges, so a pass that never calls `backward` keeps no graph alive.
@@ -209,15 +212,6 @@ def _pooled_shape(xd: np.ndarray) -> tuple[int, int]:
     return xd.shape[2] // POOL, xd.shape[3] // POOL
 
 
-def _pool_windows(xd: np.ndarray) -> np.ndarray:
-    """The pooling windows as an (N, C, H//POOL, W//POOL, POOL, POOL) view."""
-    oh, ow = _pooled_shape(xd)
-    s0, s1, s2, s3 = xd.strides
-    return np.lib.stride_tricks.as_strided(
-        xd, shape=(*xd.shape[:2], oh, ow, POOL, POOL),
-        strides=(s0, s1, s2 * POOL, s3 * POOL, s2, s3))
-
-
 def _window_corners(a: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
     """The top-left, top-right, bottom-left and bottom-right element of every
     2x2 window of NCHW `a`, as four strided (N, C, oh, ow) views."""
@@ -225,17 +219,19 @@ def _window_corners(a: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
 
 
 def max_pool2d(x: Variable) -> Variable:
-    """Max pooling; on ties the gradient routes to the window's first max."""
+    """2x2 max pooling at stride 2 (POOL = 2): the first maximum of the four
+    `_window_corners` wins ties, and the VJP adds g * (argmax == k) into
+    corner k of a zero gradient; a trailing odd row or column gets none."""
     xd = x.data
-    win = _pool_windows(xd)
-    flat = win.reshape(*win.shape[:4], POOL * POOL)
-    amax = flat.argmax(axis=-1)  # first maximum wins ties
-    out = np.take_along_axis(flat, amax[..., None], axis=-1)[..., 0]
+    oh, ow = _pooled_shape(xd)
+    corners = np.stack(_window_corners(xd, oh, ow))
+    amax = corners.argmax(axis=0)
+    out = np.take_along_axis(corners, amax[None], axis=0)[0]
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros_like(xd)
-        sel = np.arange(POOL * POOL) == amax[..., None]
-        _pool_windows(gx)[...] += (g[..., None] * sel).reshape(win.shape)
+        for k, corner in enumerate(_window_corners(gx, oh, ow)):
+            corner += g * (amax == k)
         return gx
 
     return _op(out, [(x, vjp)])
@@ -419,20 +415,28 @@ def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
     running_var += BN_MOMENTUM * (var.reshape(-1) * (m / (m - 1.0)))
 
 
+def _forward_only(g: np.ndarray) -> np.ndarray:
+    """The VJP of every edge `batch_norm` records: there is none to take."""
+    raise RuntimeError("backward: inference-mode batch norm (batch_norm) is forward-only; "
+                       "train mode differentiates as normalize then affine_relu")
+
+
 def batch_norm(xs: Sequence[Variable], gamma: Variable, beta: Variable,
                running_mean: np.ndarray, running_var: np.ndarray,
                relu: bool = False) -> Variable:
     """Inference-mode per-channel batch normalization (+ relu) over the
-    channel concatenation of the NCHW `xs`, as one node with an edge to each
-    x, gamma and beta.
+    channel concatenation of the NCHW `xs`, as one forward-only node.
 
     Normalizes by the running buffers, x^ = (x - running_mean) * inv with
     inv = 1/sqrt(running_var + BN_EPS), then out = x^*gamma + beta and, with
     `relu`, out * (out > 0). The forward builds one output array (the
     concatenation, when there are several chunks) and does each step in
     place on it, in that order, so the values are those of relu(batch_norm)
-    over the concatenation. Each x's VJP is gamma*inv * g on its own
-    channels; gamma's recomputes x^ from the chunks rather than keeping it.
+    over the concatenation.
+
+    Nothing differentiates it (eval runs under `no_grad`, and a frozen
+    layer's input, gamma and beta need no gradient), so each edge it keeps,
+    to an input that requires a gradient, raises when a backward reaches it.
     Train mode, which normalizes by batch statistics, is `normalize` then
     `affine_relu`.
     """
@@ -451,18 +455,11 @@ def batch_norm(xs: Sequence[Variable], gamma: Variable, beta: Variable,
         out = _concat_data(xs)
         out -= shift
     out *= inv
-    gd = gamma.data.reshape(1, c, 1, 1)
-    out *= gd
+    out *= gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
-    masked = _relu_in_place(out, relu)
-    coef = gd * inv
-    spans = _channel_spans(xs)
-    edges = [(v, lambda g, lo=lo, hi=hi: masked(g)[:, lo:hi] * coef[:, lo:hi]) for v, lo, hi in spans]
-    # x^ over the whole concatenation: a one-channel chunk's own sum would
-    # add its values in another order
-    edges.append((gamma, lambda g: (masked(g) * ((_concat_data(xs) - shift) * inv)).sum(axis=_BN_AXES)))
-    edges.append((beta, lambda g: masked(g).sum(axis=_BN_AXES)))
-    return _op(out, edges)
+    if relu:
+        out *= out > 0
+    return _op(out, [(v, _forward_only) for v in (*xs, gamma, beta)])
 
 
 def normalize(x: Variable) -> tuple[Variable, np.ndarray, np.ndarray]:
@@ -500,10 +497,12 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
     the NCHW `xs` (no relu when not `relu`), as one node with an edge to
     each x, gamma and beta.
 
-    Over `normalize` outputs this is a train-mode batch norm (+ relu) that
-    keeps neither the concatenation nor the pre-relu values, only the relu
-    mask; each x's VJP is gamma * g on its own channels. `backward` hands
-    every edge of a node the same g in a row, so the edges share one g * mask.
+    Over `normalize` outputs this is a train-mode batch norm (+ relu), the
+    only batch norm a backward runs through (inference-mode `batch_norm` is
+    forward-only). It keeps neither the concatenation nor the pre-relu
+    values, only the relu mask; each x's VJP is gamma * g on its own
+    channels. `backward` hands every edge of a node the same g in a row, so
+    the edges share one g * mask.
     """
     xd = _concat_data(xs)
     c = xd.shape[1]
@@ -512,31 +511,22 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
             f"affine_relu: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
     gd = gamma.data.reshape(1, c, 1, 1)
     out = xd * gd + beta.data.reshape(1, c, 1, 1)
-    masked = _relu_in_place(out, relu)
+    if relu:
+        mask = out > 0
+        out *= mask
+    memo = [None, None]  # the g the edges were last handed, and g * mask
+
+    def masked(g: np.ndarray) -> np.ndarray:
+        if relu and memo[0] is not g:
+            memo[:] = g, g * mask
+        return memo[1] if relu else g
+
     spans = _channel_spans(xs)
     edges = [(v, lambda g, lo=lo, hi=hi: masked(g)[:, lo:hi] * gd[:, lo:hi]) for v, lo, hi in spans]
     edges.append((gamma, lambda g: np.concatenate(
         [(masked(g)[:, lo:hi] * v.data).sum(axis=_BN_AXES) for v, lo, hi in spans])))
     edges.append((beta, lambda g: masked(g).sum(axis=_BN_AXES)))
     return _op(out, edges)
-
-
-def _relu_in_place(out: np.ndarray, relu: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """With `relu`, set out to out * (out > 0) in place and return g -> g *
-    mask; else leave out as it is and return g -> g. `backward` hands every
-    edge of a node the same g in a row, so the edges share one g * mask."""
-    if not relu:
-        return lambda g: g
-    mask = out > 0
-    out *= mask
-    memo = [None, None]  # the g the edges were last handed, and g * mask
-
-    def masked(g: np.ndarray) -> np.ndarray:
-        if memo[0] is not g:
-            memo[:] = g, g * mask
-        return memo[1]
-
-    return masked
 
 
 def _log_softmax(xd: np.ndarray) -> np.ndarray:

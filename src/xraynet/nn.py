@@ -61,6 +61,15 @@ class ArchitectureConfig:
             raise ValueError(f"a {self.family} needs inputs of at least {min_size} px, "
                              f"got {self.input_size}")
 
+    @property
+    def smallest_map(self) -> int:
+        """The side of the smallest feature map a batch norm reads: the last
+        resnet stage's (each stride-2 stage entry rounds up) or the last
+        dense block's (each transition's pooling rounds down)."""
+        if self.family == "resnet":
+            return -(-self.input_size // 2 ** len(RESNET_STAGES))
+        return self.input_size // 2 ** (len(DENSE_LAYERS) - 1)
+
 
 def mini_resnet(num_classes: int = 4, input_size: int = 64) -> ArchitectureConfig:
     return ArchitectureConfig(family="resnet", input_size=input_size, num_classes=num_classes)
@@ -145,10 +154,11 @@ class BatchNorm2d:
         Train mode normalizes the chunks `norms` lacks, appends them, and
         applies the layer's own affine and relu to all of them (Pleiss et al.
         2017, arXiv:1707.06990): the values and running buffer update of a
-        batch norm over the concatenation. A frozen layer runs in inference
-        mode, as a Keras layer with trainable = False does: `ad.batch_norm`
-        over the chunks by the running statistics, relu included, buffers
-        left as they are.
+        batch norm over the concatenation. Eval, and a frozen layer, run in
+        inference mode, as a Keras layer with trainable = False does:
+        `ad.batch_norm` over the chunks by the running statistics, relu
+        included, buffers left as they are. That op is forward-only, so a
+        backward through an eval-mode pass of a trainable layer raises.
         """
         chunks = [x] if isinstance(x, Variable) else x
         if not (train and self.gamma.requires_grad):

@@ -291,8 +291,17 @@ def fit(config: TrainConfig, bundle: DataBundle, run_dir=None) -> RunRecord:
         compute_class_weights(bundle.train_class_counts())  # rejects an empty train class
 
     start = time.monotonic()
-    # a rejected checkpoint raises here, before the run directory exists
+    # a rejected input size, batch size or checkpoint raises here, before
+    # the run directory exists
     arch = ArchitectureConfig(config.spec.family, config.input_size, config.num_classes)
+    # the last train batch holds what is left; a frozen backbone's batch
+    # norms run on running statistics and need no batch statistics
+    smallest_batch = len(bundle.train) % config.batch_size or config.batch_size
+    if not config.freeze and smallest_batch * arch.smallest_map ** 2 < 2:
+        raise ValueError(
+            f"a train batch of {smallest_batch} image at a {arch.smallest_map}x"
+            f"{arch.smallest_map} feature map gives batch norm 1 value per channel, and "
+            "batch statistics need at least 2 (choose another batch size or input size)")
     model = build_model(arch, derive_stream(config.seed, "init"))
     if config.spec.pretrained:
         load_checkpoint(model, config.checkpoint, backbone_only=True)

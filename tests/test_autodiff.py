@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import weakref
 
@@ -11,6 +12,7 @@ from xraynet import autodiff as ad
 from xraynet.autodiff import Variable, backward, grad_check, grad_check_directional
 from xraynet.nn import BatchNorm2d, ParameterStore
 from xraynet.rng import Pcg32
+from xraynet.verification import check_ops
 
 
 def reference_conv2d(x, k, b, stride=1, padding=0):
@@ -247,7 +249,7 @@ class TestBatchNorm:
         npt.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * bm, rtol=1e-5)
         npt.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
 
-    def test_eval_mode_is_one_node_with_x_gamma_beta_edges(self):
+    def test_eval_mode_is_one_node_whose_every_edge_raises(self):
         rng = Pcg32(11, 0)
         x1, x2 = (Variable(rng.uniform_array((2, c, 4, 4), -1, 1).astype(np.float32),
                            requires_grad=True) for c in (3, 2))
@@ -257,6 +259,12 @@ class TestBatchNorm:
             out = ad.batch_norm([x1, x2], gamma, beta, np.zeros(5, np.float32),
                                 np.ones(5, np.float32), relu)
             assert [v for v, _ in out._edges] == [x1, x2, gamma, beta]
+            for _, vjp in out._edges:
+                with pytest.raises(RuntimeError, match="inference-mode batch norm"):
+                    vjp(np.ones_like(out.data))
+            with pytest.raises(RuntimeError, match="forward-only"):
+                backward(ad.sum_axes(out))
+            assert all(v._grad is None for v in (x1, x2, gamma, beta))
 
     @pytest.mark.parametrize("relu", [True, False])
     def test_train_mode_is_normalize_then_affine_with_chunk_gamma_beta_edges(self, relu):
@@ -326,22 +334,19 @@ class TestBatchNorm:
         npt.assert_array_equal(bn.running_var, expect_rv.astype(dtype))
 
 
-def reference_relu_batch_norm(x, gamma, beta, rm, rv, g):
+def reference_relu_batch_norm(x, gamma, beta, rm, rv):
     """relu(batch_norm(x)) over one NCHW array by the running buffers, as
-    separate numpy steps, and its VJP at g: (out, dx, dgamma, dbeta)."""
+    separate numpy steps."""
     c4 = (1, x.shape[1], 1, 1)
     inv = (1.0 / np.sqrt(rv + 1e-5)).reshape(c4).astype(x.dtype)
     xhat = (x - rm.reshape(c4).astype(x.dtype)) * inv
     pre = xhat * gamma.reshape(c4) + beta.reshape(c4)
-    mask = pre > 0
-    gm = g * mask
-    return (pre * mask, gm * (gamma.reshape(c4) * inv),
-            (gm * xhat).sum(axis=(0, 2, 3)), gm.sum(axis=(0, 2, 3)))
+    return pre * (pre > 0)
 
 
 def relu_before_beta(xs, gamma, beta, running_mean, running_var, relu=False):
     """A wrong `batch_norm` for the tests to catch: relu ahead of + beta."""
-    zero = Variable(np.zeros_like(beta.data), requires_grad=True)
+    zero = Variable(np.zeros_like(beta.data))
     out = ad.batch_norm(xs, gamma, zero, running_mean, running_var, relu)
     out.data += beta.data.reshape(1, -1, 1, 1)
     return out
@@ -352,37 +357,27 @@ class TestInferenceBatchNormChunks:
     bit, what relu(batch_norm) over their concatenation gives."""
 
     @staticmethod
-    def _mismatches(batch_norm, dtype):
-        """Names of the results (out, each chunk's dx, dgamma, dbeta) that
-        differ in any bit from the numpy reference."""
+    def _matches(batch_norm, dtype):
+        """Whether `batch_norm` over 1-, 3- and 2-channel chunks gives the
+        numpy reference's output in every bit."""
         rng = Pcg32(14, 0)
         x = rng.uniform_array((3, 6, 5, 7), -2, 2).astype(dtype)
         gamma = rng.uniform_array((6,), 0.5, 1.5).astype(dtype)
         beta = rng.uniform_array((6,), -0.5, 0.5).astype(dtype)
         rm = rng.uniform_array((6,), -0.3, 0.3).astype(dtype)
         rv = rng.uniform_array((6,), 0.5, 2.0).astype(dtype)
-        g = rng.uniform_array(x.shape, -1, 1).astype(dtype)
-        xs = [Variable(x[:, lo:hi], requires_grad=True) for lo, hi in ((0, 1), (1, 4), (4, 6))]
-        gv, bv = Variable(gamma, requires_grad=True), Variable(beta, requires_grad=True)
-        out = batch_norm(xs, gv, bv, rm, rv, relu=True)
-        got = {"out": out.data, "dgamma": None, "dbeta": None}
-        for i, (v, vjp) in enumerate(out._edges):
-            name = {len(xs): "dgamma", len(xs) + 1: "dbeta"}.get(i, f"dx{i}")
-            got[name] = vjp(g)
-        want_out, dx, dgamma, dbeta = reference_relu_batch_norm(x, gamma, beta, rm, rv, g)
-        want = {"out": want_out, "dgamma": dgamma, "dbeta": dbeta,
-                "dx0": dx[:, 0:1], "dx1": dx[:, 1:4], "dx2": dx[:, 4:6]}
-        return [n for n, w in want.items()
-                if got.get(n) is None or got[n].dtype != w.dtype
-                or np.ascontiguousarray(got[n]).tobytes() != np.ascontiguousarray(w).tobytes()]
+        xs = [Variable(x[:, lo:hi]) for lo, hi in ((0, 1), (1, 4), (4, 6))]
+        got = batch_norm(xs, Variable(gamma), Variable(beta), rm, rv, relu=True).data
+        want = reference_relu_batch_norm(x, gamma, beta, rm, rv)
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_relu_of_batch_norm_over_the_concatenation(self, dtype):
-        assert self._mismatches(ad.batch_norm, dtype) == []
+        assert self._matches(ad.batch_norm, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_before_beta_mutant_caught(self, dtype):
-        assert "out" in self._mismatches(relu_before_beta, dtype)
+        assert not self._matches(relu_before_beta, dtype)
 
     def test_frozen_forward_keeps_no_closures(self):
         # frozen parameters and an input without gradient: nothing to save
@@ -392,22 +387,42 @@ class TestInferenceBatchNormChunks:
         assert out._edges == () and not out.requires_grad
 
 
-def reference_avg_pool(x):
-    """The 2x2 window mean over an (N, C, H//2, W//2, 2, 2) strided view,
-    and its VJP at g as a scatter of g/4 into the same view of zeros."""
-    n, c, h, w = x.shape
-    s0, s1, s2, s3 = x.strides
+def pool_windows(a):
+    """The 2x2 pooling windows of NCHW `a` as an (N, C, H//2, W//2, 2, 2)
+    strided view, a trailing odd row or column left out."""
+    n, c, h, w = a.shape
+    s0, s1, s2, s3 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, shape=(n, c, h // 2, w // 2, 2, 2), strides=(s0, s1, 2 * s2, 2 * s3, s2, s3))
 
-    def windows(a):
-        return np.lib.stride_tricks.as_strided(
-            a, shape=(n, c, h // 2, w // 2, 2, 2), strides=(s0, s1, 2 * s2, 2 * s3, s2, s3))
+
+def reference_avg_pool(x):
+    """The 2x2 window mean over `pool_windows`, and its VJP at g as a
+    scatter of g/4 into the same view of zeros."""
 
     def vjp(g):
         gx = np.zeros_like(x)
-        windows(gx)[...] += (g * (1.0 / 4)).astype(x.dtype, copy=False)[..., None, None]
+        pool_windows(gx)[...] += (g * (1.0 / 4)).astype(x.dtype, copy=False)[..., None, None]
         return gx
 
-    return windows(x).mean(axis=(4, 5)), vjp
+    return pool_windows(x).mean(axis=(4, 5)), vjp
+
+
+def reference_max_pool(x):
+    """The 2x2 window max over `pool_windows` by an argmax over each
+    window's four elements in row-major order (the first maximum wins
+    ties), and its VJP at g as a scatter of g into that element of the same
+    view of zeros."""
+    win = pool_windows(x)
+    flat = win.reshape(*win.shape[:4], 4)
+    amax = flat.argmax(axis=-1)
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        pool_windows(gx)[...] += (g[..., None] * (np.arange(4) == amax[..., None])).reshape(win.shape)
+        return gx
+
+    return np.take_along_axis(flat, amax[..., None], axis=-1)[..., 0], vjp
 
 
 def left_to_right_avg_pool(x):
@@ -423,16 +438,18 @@ class TestPoolAndPadBitIdentity:
     SHAPES = [(2, 3, 8, 8), (3, 2, 7, 9), (1, 1, 5, 4), (2, 1, 3, 5)]
 
     @staticmethod
-    def _pool_mismatches(pool, dtype):
+    def _pool_mismatches(pool, dtype, reference=reference_avg_pool, ties=False):
         """(shape, "out" or "dx") for each result of `pool` that differs in
-        any bit from `reference_avg_pool`."""
+        any bit from `reference`; with `ties`, over values that tie often."""
         rng = Pcg32(15, 0)
         bad = []
         for shape in TestPoolAndPadBitIdentity.SHAPES:
             # a third of each draw fills the float64 mantissa, so that the
             # order of the window's sum shows in its last bits
             x = (rng.uniform_array(shape, -1, 1) / 3).astype(dtype)
-            want, want_vjp = reference_avg_pool(x)
+            if ties:
+                x = np.round(x * 6)  # five values, -2 to 2
+            want, want_vjp = reference(x)
             out = pool(Variable(x, requires_grad=True))
             if out.data.tobytes() != want.tobytes() or out.dtype != want.dtype:
                 bad.append((shape, "out"))
@@ -444,6 +461,11 @@ class TestPoolAndPadBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_avg_pool_bit_identical_to_window_mean_and_scatter(self, dtype):
         assert self._pool_mismatches(ad.avg_pool2d, dtype) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_max_pool_bit_identical_to_window_argmax_and_scatter(self, dtype, ties):
+        assert self._pool_mismatches(ad.max_pool2d, dtype, reference_max_pool, ties) == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_left_to_right_sum_mutant_caught(self, dtype):
@@ -701,3 +723,45 @@ class TestGradCheck:
             check(fn, [x])
         npt.assert_array_equal(x.data, [1.0, 1.0])
         npt.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+# the public functions of `autodiff` that no `check_ops` probe covers, and why
+UNPROBED = {
+    # the engine: graph building, the backward walk and the checks themselves
+    "constant", "no_grad", "backward", "grad_check", "grad_check_directional",
+    # every probe's projection sum(out * p), so every probe runs through them
+    "bmul", "sum_axes",
+    # folds batch statistics into the running buffers in place: no node
+    "fold_running",
+    # inference-mode batch norm is forward-only: a backward through it raises
+    "batch_norm",
+}
+
+
+def unprobed_ops(probe_names):
+    """The public functions of `autodiff`, neither in `UNPROBED` nor among
+    `probe_names`."""
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")}
+    return sorted(public - UNPROBED - set(probe_names))
+
+
+class TestEveryOpIsProbed:
+    """Every differentiable op is gated by a finite-difference probe."""
+
+    @pytest.fixture(scope="class")
+    def probe_names(self):
+        return list(check_ops())
+
+    def test_every_public_op_has_a_probe_or_a_listed_reason(self, probe_names):
+        assert unprobed_ops(probe_names) == []
+
+    def test_every_listed_name_is_a_public_function_without_a_probe(self, probe_names):
+        for name in UNPROBED:
+            assert inspect.isfunction(getattr(ad, name, None)) and name not in probe_names
+
+    def test_dropping_any_op_probe_is_caught(self, probe_names):
+        named = [name for name in probe_names if inspect.isfunction(getattr(ad, name, None))]
+        assert len(named) >= 10
+        for name in named:
+            assert unprobed_ops([n for n in probe_names if n != name]) == [name]

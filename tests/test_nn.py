@@ -68,6 +68,23 @@ class TestBuild:
                 model = build_model(ArchitectureConfig(family, size), derive_stream(0, "init"))
                 assert model.forward(small_input((1, 1, size, size))).shape == (1, 4)
 
+    @pytest.mark.parametrize("family,smallest", [("resnet", 1), ("densenet", 4)])
+    def test_smallest_map_is_the_smallest_a_train_mode_batch_norm_reads(self, monkeypatch,
+                                                                         family, smallest):
+        sides, real = [], ad.normalize
+
+        def recorded(x):
+            sides.extend(x.data.shape[2:])
+            return real(x)
+
+        monkeypatch.setattr(ad, "normalize", recorded)
+        for size in range(smallest, 20):
+            config = ArchitectureConfig(family, size)
+            sides.clear()
+            build_model(config, derive_stream(0, "init")).forward(
+                small_input((2, 1, size, size)), train=True)
+            assert min(sides) == config.smallest_map, size
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             ArchitectureConfig(family="vgg")
@@ -375,6 +392,21 @@ class TestHeadAndFreeze:
         model = build_model(mini_resnet(input_size=32), derive_stream(19, "init"))
         with pytest.raises(ValueError, match="at least 2"):
             replace_head(model, 1, derive_stream(20, "head"))
+
+    @pytest.mark.parametrize("family", ["resnet", "densenet"])
+    def test_backward_through_an_eval_forward_raises_and_changes_nothing(self, family):
+        # inference-mode batch norm is forward-only: a backward through an
+        # eval-mode pass of a trainable model fails before any gradient lands
+        model = build_model(ArchitectureConfig(family, input_size=16), derive_stream(22, "init"))
+        x = small_input((2, 1, 16, 16))
+        backward(ad.sum_axes(model.forward(x, train=True, update_stats=False)))
+        before = {n: (p.data.copy(), p.grad.copy()) for n, p in model.store.params.items()}
+        assert any(g.any() for _, g in before.values())
+        with pytest.raises(RuntimeError, match="inference-mode batch norm"):
+            backward(ad.sum_axes(model.forward(x, train=False)))
+        for name, p in model.store.params.items():
+            assert p.data.tobytes() == before[name][0].tobytes()
+            assert p.grad.tobytes() == before[name][1].tobytes()
 
     def test_freeze_marks_backbone_only(self):
         model = build_model(mini_densenet(input_size=32), derive_stream(21, "init"))

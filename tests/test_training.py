@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -392,6 +393,25 @@ class TestFit:
         with pytest.raises(CheckpointError, match="holds a densenet backbone"):
             fit(cfg(preset="PRCE", seed=9, checkpoint=str(ckpt)), bundle, run_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("preset,size", [("RCE", 8), ("DCE", 4), ("PRCE", 8)])
+    def test_batch_of_one_at_a_1x1_map_rejected_before_writing(self, tmp_path, preset, size):
+        # the last train batch holds one image, and the smallest train-mode
+        # feature map is 1x1: batch norm would see 1 value per channel
+        bundle = dataclasses.replace(synthetic_bundle(3, size=16, seed=0), input_size=size)
+        batch_size = len(bundle.train) - 1
+        ckpt = tmp_path / "backbone.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=size), derive_stream(0, "init")), ckpt)
+        kw = dict(input_size=size, batch_size=batch_size, seed=0)
+        if preset == "PRCE":
+            kw["checkpoint"] = str(ckpt)
+        with pytest.raises(ValueError, match="at least 2 .choose another batch size"):
+            fit(cfg(preset, **kw), bundle, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        if preset == "PRCE":
+            # a frozen backbone's batch norms read the running statistics
+            fit(cfg(preset, freeze=True, **kw), bundle, run_dir=tmp_path / "frozen")
+            assert (tmp_path / "frozen" / "metrics.csv").exists()
 
     def test_run_artifacts_written(self, tmp_path):
         bundle = synthetic_bundle(2, size=32, seed=10)
