@@ -19,10 +19,12 @@ affine and relu as one node over the chunks it reads, each step done in
 place on the one output array it allocates). `batch_norm` alone is
 forward-only: nothing differentiates inference mode, and a backward that
 reaches it raises. Every other differentiable op has a finite-difference
-probe in `verification.check_ops`. Each loss in `losses.py` is one `_op`
-node over the plain-array `_log_softmax`. No op broadcasts: `add` and the
-probe-only `bmul` require equal shapes, and the probe-only `sum_axes` sums
-everything.
+probe in `verification.check_ops`. The module holds only the engine and
+its ops: the gradient checkers live in `verification`, and `nn` folds
+batch statistics into the running buffers. Each loss in `losses.py` is one
+`_op` node over the plain-array `_log_softmax`. No op broadcasts: `add` and
+the probe-only `bmul` require equal shapes, and the probe-only `sum_axes`
+sums everything.
 
 Inside `with no_grad():` every op returns a bare `Variable` that records no
 edges, so a pass that never calls `backward` keeps no graph alive.
@@ -51,7 +53,6 @@ Edge = tuple["Variable", Callable[[np.ndarray], np.ndarray]]
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 BN_EPS = 1e-5       # added to the variance before the inverse square root
-BN_MOMENTUM = 0.1   # weight of each batch's statistics in the running buffers
 POOL = 2            # every pooling window is POOL x POOL at stride POOL
 _BN_AXES = (0, 2, 3)  # batch-norm statistics reduce over batch and space
 
@@ -405,16 +406,6 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
 
 
-def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
-                 mu: np.ndarray, var: np.ndarray, m: int) -> None:
-    """Fold a batch's mean and biased variance over `m` values per channel
-    into the running buffers in place, the variance unbiased."""
-    running_mean *= (1.0 - BN_MOMENTUM)
-    running_mean += BN_MOMENTUM * mu.reshape(-1)
-    running_var *= (1.0 - BN_MOMENTUM)
-    running_var += BN_MOMENTUM * (var.reshape(-1) * (m / (m - 1.0)))
-
-
 def _forward_only(g: np.ndarray) -> np.ndarray:
     """The VJP of every edge `batch_norm` records: there is none to take."""
     raise RuntimeError("backward: inference-mode batch norm (batch_norm) is forward-only; "
@@ -536,7 +527,7 @@ def _log_softmax(xd: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# backward pass and finite-difference verification
+# backward pass
 # ---------------------------------------------------------------------------
 
 def backward(root: Variable) -> None:
@@ -578,89 +569,3 @@ def backward(root: Variable) -> None:
                 acc += vjp(g)
     for leaf, g in leaves:
         leaf._grad = g if leaf._grad is None else leaf._grad + g
-
-
-def _analytic_grads(fn: Callable[[], Variable], params: list[Variable],
-                    caller: str) -> list[np.ndarray]:
-    """float64 copies of d fn() / d p, leaving each p's accumulated gradient
-    as it was, also when `fn` or `backward` raises."""
-    saved_grads = [p._grad for p in params]
-    for p in params:
-        p._grad = None
-    try:
-        out = fn()
-        if out.data.size != 1:
-            raise ValueError(f"{caller}: function must produce a scalar")
-        backward(out)
-        return [np.asarray(p.grad, dtype=np.float64).copy() for p in params]
-    finally:
-        for p, g in zip(params, saved_grads):
-            p._grad = g
-
-
-def grad_check_directional(fn: Callable[[], Variable], params: Sequence[Variable],
-                           h: float = 1e-3) -> float:
-    """Per-tensor finite-difference check along each gradient's own direction.
-
-    For every parameter tensor, compares ||g|| against the central difference
-    of `fn` along d = g/||g||. Aggregating a whole tensor into one
-    well-conditioned probe makes this robust to the relu-kink noise that
-    contaminates coordinate-wise probes on deep centered networks. Returns
-    the max relative error over tensors (tensors with ~zero gradient are
-    skipped: there is nothing to verify against). Parameter data and
-    gradients are restored before returning, also when `fn` raises.
-    """
-    params = list(params)
-    worst = 0.0
-    for p, g in zip(params, _analytic_grads(fn, params, "grad_check_directional")):
-        norm = float(np.sqrt((g * g).sum()))
-        if norm < 1e-12:
-            continue
-        d = (g / norm).astype(p.data.dtype)
-        orig = p.data.copy()
-        try:
-            p.data += (h * d).astype(p.data.dtype)
-            fp = fn().item()
-            np.copyto(p.data, orig)
-            p.data -= (h * d).astype(p.data.dtype)
-            fm = fn().item()
-        finally:
-            np.copyto(p.data, orig)
-        num = (fp - fm) / (2.0 * h)
-        err = abs(norm - num) / max(norm, abs(num), 1e-6)
-        worst = max(worst, err)
-    return worst
-
-
-def grad_check(fn: Callable[[], Variable], params: Sequence[Variable],
-               h: float = 1e-3, top: int | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `fn` must rebuild the same deterministic scalar from the current values
-    of `params` on every call (no side effects). Parameter data and gradients
-    are restored before returning, also when `fn` raises. With `top`, only
-    each tensor's `top` largest-|gradient| coordinates are probed: they
-    carry the verifiable signal, while tiny ones sit at the FD noise floor
-    and measure conditioning, not correctness.
-    """
-    params = list(params)
-    worst = 0.0
-    for p, a in zip(params, _analytic_grads(fn, params, "grad_check")):
-        a = a.reshape(-1)
-        flat = p.data.reshape(-1)
-        idxs = range(flat.size) if top is None else np.argsort(-np.abs(a))[:top]
-        for i in idxs:
-            orig = flat[i].copy()
-            try:
-                flat[i] = orig + h
-                step_up = float(flat[i]) - float(orig)
-                fp = fn().item()
-                flat[i] = orig - h
-                step_dn = float(orig) - float(flat[i])
-                fm = fn().item()
-            finally:
-                flat[i] = orig
-            num = (fp - fm) / (step_up + step_dn)
-            err = abs(float(a[i]) - num) / max(abs(float(a[i])), abs(num), 1e-6)
-            worst = max(worst, err)
-    return worst

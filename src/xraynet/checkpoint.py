@@ -92,7 +92,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Parse a checkpoint file into (state tensors, metadata).
 
     The one reader of ``meta.*``: each `META_SHAPES` record must be present at
-    its shape, and `meta.arch` must decode into an `ArchitectureConfig`, which
+    its shape and hold whole numbers in [0, 2**16) (seed limbs) or [0, 2**24),
+    and `meta.arch` must decode into the `ArchitectureConfig` that
     ``meta["arch"]`` holds; `meta.digest` is ignored.
     """
     blob = Path(path).read_bytes()
@@ -132,23 +133,22 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if rec is None or rec.shape != shape:
             raise CheckpointError(f"{path}: metadata record {name} must have shape {shape}, "
                                   f"found {None if rec is None else rec.shape}")
-    # meta.arch is (family code, input channels, input size, class count);
-    # the code must be a whole index, and the size and count whole numbers,
-    # before int() truncates them
-    code, _, size, classes = tensors["meta.arch"]
-    if code not in range(len(FAMILIES)):
+        # checked before int() truncates them; float32 holds every whole number below 2**24
+        bound = 2 ** 16 if name == "meta.seed" else 2 ** 24
+        if not np.all((rec >= 0) & (rec < bound) & (rec == np.floor(rec))):
+            raise CheckpointError(f"{path}: metadata record {name} must hold whole numbers "
+                                  f"in [0, {bound}), found {rec.tolist()}")
+    # meta.arch is (family code, input channels, input size, class count)
+    code, _, size, classes = tensors["meta.arch"].astype(np.int64)
+    if code >= len(FAMILIES):
         raise CheckpointError(f"{path}: unknown family code {code} in meta.arch")
-    if not (float(size).is_integer() and float(classes).is_integer()):
-        raise CheckpointError(f"{path}: meta.arch input size {size} and class count "
-                              f"{classes} must be whole numbers")
     try:
-        arch = ArchitectureConfig(FAMILIES[int(code)], int(size), int(classes))
+        arch = ArchitectureConfig(FAMILIES[code], int(size), int(classes))
     except ValueError as e:
         raise CheckpointError(f"{path}: impossible meta.arch ({e})") from None
-    limbs = tensors["meta.seed"].astype(np.int64)
     meta = {
         "epoch": int(tensors["meta.epoch"][0]),
-        "seed": int(sum(int(limbs[i]) << (16 * i) for i in range(4))),
+        "seed": sum(int(limb) << (16 * i) for i, limb in enumerate(tensors["meta.seed"])),
         "arch": arch,
     }
     state = {n: a for n, a in tensors.items() if not n.startswith(META_PREFIX)}

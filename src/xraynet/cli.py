@@ -22,7 +22,7 @@ from .losses import cross_entropy
 from .metrics import per_class_from_confusion
 from .synth import synthetic_bundle, write_synthetic_dataset
 from .training import PRESETS, TrainConfig, TrainingAborted, evaluate, fit
-from .verification import run_scope, settings
+from .verification import check_all, settings
 
 HIST_SAMPLES = 2  # per-sample histogram files `stats` writes for each class
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
@@ -166,7 +166,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _, _, threshold = settings(args.f64)
-    errors = run_scope(args.scope, f64=args.f64)
+    errors = check_all(args.f64)
     failed = False
     for name, err in errors.items():
         status = "ok" if err < threshold else "FAIL"
@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--scope", choices=("ops", "losses", "resnet", "densenet", "all"),
-                   default="all")
     p.add_argument("--f64", action="store_true", help="float64 verification mode")
     p.set_defaults(func=cmd_gradcheck)
     return parser

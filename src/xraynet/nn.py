@@ -30,6 +30,7 @@ from .rng import Pcg32
 
 HEAD_PREFIX = "head."
 FAMILIES = ("resnet", "densenet")  # a checkpoint records the family by its index
+BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running buffers
 
 
 # the fixed Mini topologies (single-channel input): resnet stages of
@@ -132,6 +133,16 @@ class Conv2d:
         return ad.conv2d(x, self.kernel, self.bias, stride=self.stride, padding=self.padding)
 
 
+def fold_running(running_mean: np.ndarray, running_var: np.ndarray,
+                 mu: np.ndarray, var: np.ndarray, m: int) -> None:
+    """Fold a batch's mean and biased variance over `m` values per channel
+    into the running buffers in place, the variance unbiased."""
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * (var.reshape(-1) * (m / (m - 1.0)))
+
+
 class BatchNorm2d:
     """Batch norm then relu, the one call for every layer that normalizes;
     with `relu=False` the batch norm alone, for the residual sums that relu
@@ -168,9 +179,9 @@ class BatchNorm2d:
         norms += [ad.normalize(f) for f in chunks[len(norms):]]
         xhats, means, variances = zip(*norms)
         if update_stats:
-            ad.fold_running(self.running_mean, self.running_var,
-                            np.concatenate(means, axis=1), np.concatenate(variances, axis=1),
-                            xhats[0].data.size // xhats[0].data.shape[1])
+            fold_running(self.running_mean, self.running_var,
+                         np.concatenate(means, axis=1), np.concatenate(variances, axis=1),
+                         xhats[0].data.size // xhats[0].data.shape[1])
         return ad.affine_relu(xhats, self.gamma, self.beta, relu)
 
 

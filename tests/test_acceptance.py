@@ -26,7 +26,7 @@ from xraynet.nn import ArchitectureConfig, build_model, freeze_backbone, mini_re
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
 from xraynet.training import Adam, TrainConfig, fit, lr_at_epoch, make_loss, train_epoch
-from xraynet.verification import run_scope
+from xraynet.verification import check_all
 
 
 @contextmanager
@@ -68,10 +68,10 @@ def test_02_focal_point_value():
 def test_03_gradient_suite_all_ops_and_architectures():
     with criterion(3, "FD checks: every op and both Mini architectures "
                       "(< 1e-2 f32, < 1e-5 f64 verification mode)"):
-        f32 = run_scope("all", f64=False)
+        f32 = check_all(f64=False)
         for name, err in f32.items():
             assert err < 1e-2, f"{name} f32 error {err:.3e}"
-        f64 = run_scope("all", f64=True)
+        f64 = check_all(f64=True)
         for name, err in f64.items():
             assert err < 1e-5, f"{name} f64 error {err:.3e}"
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xraynet import autodiff as ad
-from xraynet.autodiff import Variable, backward, grad_check, grad_check_directional
+from xraynet.autodiff import Variable, backward
 from xraynet.nn import BatchNorm2d, ParameterStore
 from xraynet.rng import Pcg32
-from xraynet.verification import check_ops
+from xraynet.verification import check_ops, grad_check, grad_check_directional
 
 
 def reference_conv2d(x, k, b, stride=1, padding=0):
@@ -706,9 +706,10 @@ class TestGradCheck:
         assert ad.global_avg_pool(x32).dtype == np.float32
 
     @pytest.mark.parametrize("check", [grad_check, grad_check_directional])
-    @pytest.mark.parametrize("fails_on", [1, 2])
+    @pytest.mark.parametrize("fails_on", [1, 2, "non_scalar"])
     def test_raising_fn_leaves_data_and_gradient_as_they_were(self, check, fails_on):
-        # call 1 builds the analytic gradient, call 2 is the first probe at +h
+        # call 1 builds the analytic gradient, call 2 is the first probe at +h;
+        # `backward` rejects a non-scalar fn() before any probe runs
         x = Variable(np.ones(2), requires_grad=True)
         x._grad = np.ones(2)
         calls = []
@@ -717,9 +718,11 @@ class TestGradCheck:
             calls.append(None)
             if len(calls) == fails_on:
                 raise RuntimeError("fn failed")
-            return ad.sum_axes(ad.bmul(x, x))
+            sq = ad.bmul(x, x)
+            return sq if fails_on == "non_scalar" else ad.sum_axes(sq)
 
-        with pytest.raises(RuntimeError, match="fn failed"):
+        with pytest.raises((RuntimeError, ValueError), match="root must be scalar"
+                           if fails_on == "non_scalar" else "fn failed"):
             check(fn, [x])
         npt.assert_array_equal(x.data, [1.0, 1.0])
         npt.assert_array_equal(x.grad, [1.0, 1.0])
@@ -727,12 +730,10 @@ class TestGradCheck:
 
 # the public functions of `autodiff` that no `check_ops` probe covers, and why
 UNPROBED = {
-    # the engine: graph building, the backward walk and the checks themselves
-    "constant", "no_grad", "backward", "grad_check", "grad_check_directional",
+    # the engine: graph building and the backward walk
+    "constant", "no_grad", "backward",
     # every probe's projection sum(out * p), so every probe runs through them
     "bmul", "sum_axes",
-    # folds batch statistics into the running buffers in place: no node
-    "fold_running",
     # inference-mode batch norm is forward-only: a backward through it raises
     "batch_norm",
 }

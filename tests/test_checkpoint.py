@@ -193,19 +193,30 @@ def test_running_stats_round_trip(tmp_path, resnet_model):
                            np.full(16, 0.25, dtype=np.float32))
 
 
+# an entry of meta.epoch or meta.seed that is no whole number below its bound
+META_DEFECTS = {"inf_epoch": ("meta.epoch", 0, np.inf), "nan_epoch": ("meta.epoch", 0, np.nan),
+                "negative_epoch": ("meta.epoch", 0, -1),
+                "nan_seed_limb": ("meta.seed", 1, np.nan),
+                "fractional_seed_limb": ("meta.seed", 0, 5.5),
+                "seed_limb_over_16_bits": ("meta.seed", 2, 70000)}
+
+
 @pytest.mark.parametrize("defect", ["last_shape", "no_metadata", "short_arch",
                                     "unknown_family", "fractional_family", "one_class",
                                     "zero_size", "nan_size", "fractional_size",
-                                    "fractional_classes", "version", "record_count",
-                                    "trailing_bytes", "extra_tensor", "missing_tensor"])
+                                    "fractional_classes", *META_DEFECTS, "version",
+                                    "record_count", "trailing_bytes", "extra_tensor",
+                                    "missing_tensor"])
 def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # every tensor of a differently seeded model, with one defect: the last
     # buffer's shape or presence, checked after all the others have passed, a
     # tensor the model lacks, a metadata record or an impossible meta.arch
     # (family code, class count or input size, or a fractional one, which
-    # int() would truncate to a valid record), or the byte layout (under a
-    # recomputed CRC), each checked before any tensor is copied; rebuilding a
-    # model from the file fails the same way
+    # int() would truncate to a valid record), an entry of meta.epoch or
+    # meta.seed that is no whole number in [0, 2**24) or in a seed limb's
+    # [0, 2**16), or the byte layout (under a recomputed CRC), each checked
+    # before any tensor is copied and named with the file; rebuilding a model
+    # from the file fails the same way
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
     tensors = dict(source.store.state_tensors())
     last = list(tensors)[-1]
@@ -233,6 +244,9 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
         tensors["meta.arch"][2] = 32.9
     elif defect == "fractional_classes":
         tensors["meta.arch"][3] = 4.5
+    elif defect in META_DEFECTS:
+        match, i, value = META_DEFECTS[defect]
+        tensors[match][i] = value
     elif defect == "version":
         layout, match = {"version": VERSION + 1}, f"unsupported version {VERSION + 1}"
     elif defect == "record_count":
@@ -248,8 +262,9 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     path = tmp_path / "bad.xrnc"
     _write_raw(path, tensors, **layout)
     before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
-    with pytest.raises(CheckpointError, match=match):
+    with pytest.raises(CheckpointError, match=match) as exc:
         load_checkpoint(resnet_model, path)
+    assert str(exc.value).startswith(f"{path}: ")
     for name, arr in resnet_model.store.state_tensors().items():
         npt.assert_array_equal(arr, before[name])
     with pytest.raises(CheckpointError, match=match):

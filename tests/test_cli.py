@@ -207,6 +207,24 @@ class TestTrain:
     def test_no_data_source_exit2(self, tmp_path):
         assert run("train", "--preset", "RCE", "--out", str(tmp_path / "r")) == 2
 
+    def test_manifest_without_images_root_exit2_and_writes_nothing(self, synth_dir, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--manifest", str(synth_dir / "manifest.csv"),
+                   "--size", "32", "--out", str(out)) == 2
+        assert "--images-root is required with --manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["synth", "--counts", "2.5"],
+                                      ["train", "--preset", "RCE", "--synthetic", "2,x,2,2"]])
+    def test_non_integer_counts_exit2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert "expected N or a,b,c,d counts" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--preset", "RCE", "--synthetic", "2", "--manifest", "m.csv",
          "--images-root", "d", "--out", "{out}"],
@@ -367,6 +385,13 @@ class TestTransferFlow:
         assert run("eval", "--checkpoint", str(ckpt), *data, "--seed", seed) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_eval_class_count_mismatch_exit2(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.xrnc"
+        save_checkpoint(build_model(mini_resnet(input_size=16), derive_stream(0, "init")), ckpt)
+        assert run("eval", "--checkpoint", str(ckpt), "--synthetic", "2",
+                   "--binary", "Normal,Covid19") == 2
+        assert "checkpoint has 4 classes but the data source has 2" in capsys.readouterr().err
+
     def test_eval_rejects_size_flag(self, tmp_path):
         # the checkpoint fixes the input size; a --size here could never take effect
         ckpt = tmp_path / "m.xrnc"
@@ -396,13 +421,22 @@ class TestTransferFlow:
 
 
 class TestGradcheckCommand:
-    def test_losses_scope_passes(self):
-        assert run("gradcheck", "--scope", "losses") == 0
+    def test_prints_every_op_loss_and_architecture_in_order(self, capsys):
+        assert run("gradcheck") == 0
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == [*verification.check_ops(), *verification.check_losses(),
+                         "mini_resnet", "mini_densenet"]
 
     def test_impossible_threshold_fails_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "F32_THRESHOLD", 1e-12)
-        assert run("gradcheck", "--scope", "losses") == 1
+        assert run("gradcheck") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_scope_option_is_gone(self):
+        # the command always runs the whole suite
+        with pytest.raises(SystemExit) as exc:
+            run("gradcheck", "--scope", "all")
+        assert exc.value.code == 2
 
 
 def _subcommand_options() -> set[str]:

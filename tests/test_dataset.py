@@ -68,6 +68,19 @@ class TestParseManifest:
         with pytest.raises(ValueError, match="missing configured columns"):
             parse_manifest("X_ray_image_name,Label\na,Normal\n", default_mapping())
 
+    @pytest.mark.parametrize("data", ["", b"\xef\xbb\xbf"], ids=["empty", "byte_order_mark"])
+    def test_file_without_header_rejected(self, data):
+        with pytest.raises(ValueError, match="no header row"):
+            parse_manifest(data, default_mapping())
+
+    def test_empty_image_reference_skipped_with_reason(self):
+        csv = ("X_ray_image_name,Label,Dataset_type,Label_1_Virus_category,Label_2_Virus_category\n"
+               " ,Normal,TRAIN,,\n"
+               "b.jpeg,Normal,TRAIN,,\n")
+        result = parse_manifest(csv, default_mapping())
+        assert [r.image_ref for r in result.records] == ["b.jpeg"]
+        assert result.skipped == [(2, "empty image reference")]
+
     def test_paper_class_counts_reproduced_exactly(self):
         result = parse_manifest(coronahack_like_manifest(), default_mapping())
         counts = class_distribution(result.records)
@@ -109,6 +122,11 @@ class TestManifestConfig:
     def test_split_values_must_be_an_object_of_strings(self):
         with pytest.raises(ValueError, match="malformed mapping"):
             ManifestConfig.from_dict({**self.MAPPING, "split_values": [["TRAIN", "Train"]]})
+
+    def test_rule_label_must_be_a_class_name(self):
+        mapping = {**self.MAPPING, "label_rules": [{"when": {"L": "b"}, "label": "Flu"}]}
+        with pytest.raises(ValueError, match="rule maps to unknown label 'Flu'"):
+            ManifestConfig.from_dict(mapping)
 
 
 class TestClassDistribution:

@@ -72,6 +72,13 @@ class TestPgm:
         with pytest.raises(FileNotFoundError):
             load_image(tmp_path / "absent.pgm")
 
+    def test_load_image_of_a_corrupt_pgm_names_the_path(self, tmp_path):
+        p = tmp_path / "short.pgm"
+        p.write_bytes(b"P5 4 4 255 \x00\x01")
+        with pytest.raises(ValueError) as exc:
+            load_image(p)
+        assert str(exc.value) == f"{p}: PGM raster has 2 bytes, expected 16"
+
     def test_png_adapter(self, tmp_path):
         PIL = pytest.importorskip("PIL.Image")
         img = random_image(3)

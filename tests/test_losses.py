@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from xraynet import autodiff as ad
-from xraynet.autodiff import Variable, backward, grad_check
+from xraynet.autodiff import Variable, backward
 from xraynet.dataset import one_hot
 from xraynet.losses import FOCAL_ALPHA, cross_entropy, focal_loss
 from xraynet.rng import Pcg32
+from xraynet.verification import grad_check
 
 
 def logits_for_pt(pt: float) -> np.ndarray:
@@ -80,6 +81,19 @@ def test_non_one_hot_target_rejected(loss, targets):
     logits = Variable(np.zeros((1, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="one-hot"):
         loss(logits, np.array(targets))
+
+
+@pytest.mark.parametrize("loss", [cross_entropy, focal_loss])
+@pytest.mark.parametrize("logits,targets,match", [
+    (np.zeros((2, 3)), np.eye(3)[:1], "does not match logits"),
+    (np.zeros((2, 1)), np.ones((2, 1)), "C >= 2"),
+    (np.zeros(3), np.eye(3)[0], "C >= 2"),
+    (np.array([[0.0, np.inf, 0.0]]), np.eye(3)[:1], "non-finite"),
+    (np.array([[np.nan, 0.0, 0.0]]), np.eye(3)[:1], "non-finite"),
+], ids=["one_target_row_for_two", "one_class", "not_2d", "inf_logit", "nan_logit"])
+def test_malformed_logits_or_targets_rejected(loss, logits, targets, match):
+    with pytest.raises(ValueError, match=match):
+        loss(Variable(logits.astype(np.float32)), targets)
 
 
 class TestCrossEntropy:

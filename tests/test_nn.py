@@ -5,12 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from xraynet import autodiff as ad
-from xraynet.autodiff import (Variable, affine_relu, backward, batch_norm, fold_running,
-                              grad_check_directional, normalize)
+from xraynet.autodiff import Variable, affine_relu, backward, batch_norm, normalize
 from xraynet.nn import (ArchitectureConfig, BatchNorm2d, DenseBlock, ParameterStore,
-                        ResidualBlock, Transition, build_model, freeze_backbone,
+                        ResidualBlock, Transition, build_model, fold_running, freeze_backbone,
                         mini_densenet, mini_resnet, replace_head)
 from xraynet.rng import derive_stream
+from xraynet.verification import grad_check_directional
 
 
 def small_input(shape, seed=0, lo=0.0, hi=1.0):

@@ -386,6 +386,13 @@ class TestFit:
             fit(cfg(seed=9, input_size=16), bundle, run_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_class_count_mismatch_rejected_before_writing(self, tmp_path):
+        # a 4-class config over a binary task's labels
+        bundle = synthetic_bundle(2, size=32, seed=9, binary=(0, 3))
+        with pytest.raises(ValueError, match="config expects 4 classes but data has 2"):
+            fit(cfg(seed=9), bundle, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_rejected_checkpoint_leaves_no_run_dir(self, tmp_path):
         ckpt = tmp_path / "dense.xrnc"
         save_checkpoint(build_model(mini_densenet(input_size=32), derive_stream(0, "init")), ckpt)
@@ -502,6 +509,15 @@ class TestExport:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 21
         assert lines[0] == "epoch,lr,train_loss,train_acc,val_loss,val_acc"
+
+    @pytest.mark.parametrize("text", ["", "epoch,lr,train_loss\n0,0.001,0.5\n"],
+                             ids=["empty", "missing_columns"])
+    def test_wrong_header_rejected_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            parse_metrics_csv(path)
+        assert str(exc.value) == f"{path}: unexpected metrics header"
 
     def test_round_trip_equals_in_memory(self, tmp_path):
         record = self._fake_record(7)
