@@ -188,9 +188,17 @@ def _channel_spans(xs: Sequence[Variable]) -> list[tuple[Variable, int, int]]:
     return spans
 
 
+def _promoted(*arrays: np.ndarray) -> list[np.ndarray]:
+    """`arrays` in their promoted dtype (each one itself when it has that
+    dtype already), so an op whose inputs mix float32 and float64 computes
+    in float64 throughout, as the float64 finite differences need."""
+    dtype = np.result_type(*arrays)
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
 def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
     """y = x @ weight.T + bias with x: (N, F), weight: (O, F), bias: (O,)."""
-    xd, wd, bd = x.data, weight.data, bias.data
+    xd, wd, bd = _promoted(x.data, weight.data, bias.data)
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ValueError(
             f"linear: input features {xd.shape} do not match weight columns {wd.shape}")
@@ -330,7 +338,7 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     flip(K)ᵀ. Other convs map K2ᵀ @ g back to the input with a col2im
     scatter. db sums g over batch and space.
     """
-    xd, kd, bd = x.data, kernel.data, bias.data
+    xd, kd, bd = _promoted(x.data, kernel.data, bias.data)
     if xd.ndim != 4 or kd.ndim != 4:
         raise ValueError(f"conv2d: expected 4-D input/kernel, got {xd.shape} and {kd.shape}")
     n, cin, h, w = xd.shape
@@ -495,13 +503,12 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
     channels. `backward` hands every edge of a node the same g in a row, so
     the edges share one g * mask.
     """
-    xd = _concat_data(xs)
+    xd, gd, bd = _promoted(_concat_data(xs), gamma.data, beta.data)
     c = xd.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError(
-            f"affine_relu: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} must be ({c},)")
-    gd = gamma.data.reshape(1, c, 1, 1)
-    out = xd * gd + beta.data.reshape(1, c, 1, 1)
+    if gd.shape != (c,) or bd.shape != (c,):
+        raise ValueError(f"affine_relu: gamma/beta shapes {gd.shape}/{bd.shape} must be ({c},)")
+    gd = gd.reshape(1, c, 1, 1)
+    out = xd * gd + bd.reshape(1, c, 1, 1)
     if relu:
         mask = out > 0
         out *= mask

@@ -124,6 +124,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             off += 4 * n
         except (struct.error, ValueError) as e:
             raise CheckpointError(f"{path}: truncated tensor record ({e})") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor record {name!r}")
         tensors[name] = arr.copy()
     if off != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - off} trailing bytes after tensor records")

@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _, _, threshold = settings(args.f64)
+    _, threshold = settings(args.f64)
     errors = check_all(args.f64)
     failed = False
     for name, err in errors.items():

@@ -182,7 +182,7 @@ class TestConv2d:
         b = Variable(rng.uniform_array((2,), 0.3, 1.2).astype(np.float32), requires_grad=True)
         proj = ad.constant(rng.uniform_array((1, 2, 3, 3), 0.3, 1.2).astype(np.float32))
         err = grad_check(lambda: ad.sum_axes(ad.bmul(
-            ad.conv2d(x, k, b, stride=2, padding=1), proj)), [x, k, b], h=1e-3)
+            ad.conv2d(x, k, b, stride=2, padding=1), proj)), [x, k, b])
         assert err < 1e-2
 
 
@@ -636,7 +636,7 @@ class TestBackward:
 
         backward(f())
         npt.assert_allclose(x.grad, 2 * x.data + 3, rtol=1e-6)
-        assert grad_check(f, [x], h=1e-3) < 1e-2
+        assert grad_check(f, [x]) < 1e-2
 
     def test_each_node_runs_once_after_all_its_readers(self):
         # x and a each have readers made at different depths; an early or
@@ -691,12 +691,12 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_function_exact(self):
         x = Variable(np.array([1.0, 2.0, 3.0], dtype=np.float64), requires_grad=True)
-        err = grad_check(lambda: ad.sum_axes(x), [x], h=1e-4)
+        err = grad_check(lambda: ad.sum_axes(x), [x])
         assert err < 1e-9
 
     def test_relu_away_from_kink(self):
         x = Variable(np.array([-0.8, -0.3, 0.4, 1.2], dtype=np.float32), requires_grad=True)
-        err = grad_check(lambda: ad.sum_axes(ad.relu(x)), [x], h=1e-3)
+        err = grad_check(lambda: ad.sum_axes(ad.relu(x)), [x])
         assert err < 1e-3
 
     def test_dtype_preserved_through_graph(self):
@@ -706,26 +706,32 @@ class TestGradCheck:
         assert ad.global_avg_pool(x32).dtype == np.float32
 
     @pytest.mark.parametrize("check", [grad_check, grad_check_directional])
-    @pytest.mark.parametrize("fails_on", [1, 2, "non_scalar"])
+    @pytest.mark.parametrize("fails_on", [1, 2, 3, "non_scalar"])
     def test_raising_fn_leaves_data_and_gradient_as_they_were(self, check, fails_on):
-        # call 1 builds the analytic gradient, call 2 is the first probe at +h;
-        # `backward` rejects a non-scalar fn() before any probe runs
-        x = Variable(np.ones(2), requires_grad=True)
-        x._grad = np.ones(2)
+        # call 1 builds the analytic gradient, calls 2 and 3 are the first
+        # probe at +h and -h, which hold x in float64; `backward` rejects a
+        # non-scalar fn() before any probe runs
+        x = Variable(np.ones(2, dtype=np.float32), requires_grad=True)
+        y = Variable(np.full(2, 2.0, dtype=np.float32), requires_grad=True)
+        x._grad = np.ones(2, dtype=np.float32)
+        originals = [x.data, y.data]
         calls = []
 
         def fn():
             calls.append(None)
             if len(calls) == fails_on:
                 raise RuntimeError("fn failed")
-            sq = ad.bmul(x, x)
-            return sq if fails_on == "non_scalar" else ad.sum_axes(sq)
+            xy = ad.bmul(x, y)
+            return xy if fails_on == "non_scalar" else ad.sum_axes(xy)
 
         with pytest.raises((RuntimeError, ValueError), match="root must be scalar"
                            if fails_on == "non_scalar" else "fn failed"):
-            check(fn, [x])
+            check(fn, [x, y])
+        assert x.data is originals[0] and y.data is originals[1]
         npt.assert_array_equal(x.data, [1.0, 1.0])
+        npt.assert_array_equal(y.data, [2.0, 2.0])
         npt.assert_array_equal(x.grad, [1.0, 1.0])
+        assert y._grad is None
 
 
 # the public functions of `autodiff` that no `check_ops` probe covers, and why
@@ -766,3 +772,52 @@ class TestEveryOpIsProbed:
         assert len(named) >= 10
         for name in named:
             assert unprobed_ops([n for n in probe_names if n != name]) == [name]
+
+
+def _conv(stride):
+    return lambda x, k, b: ad.conv2d(x, k, b, stride=stride, padding=1)
+
+
+def _affine(relu):
+    return lambda x1, x2, g, b: ad.affine_relu([x1, x2], g, b, relu)
+
+
+# every `check_ops` probe: the op as a function of its differentiable
+# inputs, and their shapes
+PROBED_OPS = {
+    "conv2d": (_conv(2), [(1, 2, 5, 5), (2, 2, 3, 3), (2,)]),
+    "conv2d_stride1": (_conv(1), [(1, 2, 5, 4), (2, 2, 3, 3), (2,)]),
+    "conv2d_thin": (_conv(1), [(1, 3, 5, 4), (2, 3, 3, 3), (2,)]),
+    "normalize": (lambda x: ad.normalize(x)[0], [(2, 2, 3, 3)]),
+    "affine_relu": (_affine(True), [(2, 2, 3, 3), (2, 1, 3, 3), (3,), (3,)]),
+    "affine": (_affine(False), [(2, 2, 3, 3), (2, 1, 3, 3), (3,), (3,)]),
+    "relu": (ad.relu, [(3, 5)]),
+    "max_pool2d": (ad.max_pool2d, [(2, 2, 4, 4)]),
+    "avg_pool2d": (ad.avg_pool2d, [(2, 2, 4, 4)]),
+    "global_avg_pool": (ad.global_avg_pool, [(2, 3, 4, 4)]),
+    "linear": (ad.linear, [(2, 4), (3, 4), (3,)]),
+    "add": (ad.add, [(2, 2, 3, 3), (2, 2, 3, 3)]),
+    "concat_channels": (lambda a, b: ad.concat_channels([a, b]), [(2, 2, 3, 3), (2, 3, 3, 3)]),
+}
+
+
+class TestMixedPrecision:
+    """Every probed op computes in the promoted dtype of its inputs: the
+    gradient checks hold one input in float64 while the rest of the graph
+    stays float32."""
+
+    def test_every_probe_is_listed(self):
+        assert sorted(PROBED_OPS) == sorted(check_ops())
+
+    @pytest.mark.parametrize("name,wide", [(name, i) for name, (_, shapes) in PROBED_OPS.items()
+                                           for i in range(len(shapes))])
+    def test_one_float64_input_gives_the_float64_forward(self, name, wide):
+        op, shapes = PROBED_OPS[name]
+        rng = Pcg32(31, wide)
+        arrays = [rng.uniform_array(shape, -1.0, 1.0).astype(np.float32) for shape in shapes]
+        mixed = op(*(Variable(a.astype(np.float64) if i == wide else a)
+                     for i, a in enumerate(arrays))).data
+        ref = op(*(Variable(a.astype(np.float64)) for a in arrays)).data
+        assert mixed.dtype == np.float64
+        assert np.abs(mixed - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert op(*map(Variable, arrays)).dtype == np.float32

@@ -12,12 +12,13 @@ from xraynet.nn import HEAD_PREFIX, build_model, mini_densenet, mini_resnet, rep
 from xraynet.rng import derive_stream
 
 
-def _write_raw(path, tensors, version=VERSION, extra_count=0, tail=b""):
-    """A checkpoint file holding exactly `tensors`, in order, with a valid CRC;
-    the header may claim another version or `extra_count` more records, and
-    `tail` bytes may follow the records."""
-    blob = b"".join([MAGIC, struct.pack("<II", version, len(tensors) + extra_count)]
-                    + [_pack_tensor(n, a) for n, a in tensors.items()] + [tail])
+def _write_raw(path, records, version=VERSION, extra_count=0, tail=b""):
+    """A checkpoint file holding exactly the (name, array) `records`, in
+    order, with a valid CRC; the header may claim another version or
+    `extra_count` more records, and `tail` bytes may follow the records."""
+    records = list(records)
+    blob = b"".join([MAGIC, struct.pack("<II", version, len(records) + extra_count)]
+                    + [_pack_tensor(n, a) for n, a in records] + [tail])
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
@@ -135,7 +136,7 @@ def test_files_of_earlier_versions_stay_loadable(tmp_path, config, code, digest)
     tensors["meta.epoch"] = np.array([3], dtype=np.float32)
     tensors["meta.seed"] = np.array([42, 0, 0, 0], dtype=np.float32)
     old = tmp_path / "old.xrnc"
-    _write_raw(old, tensors)
+    _write_raw(old, tensors.items())
     target = build_model(config(num_classes=4, input_size=32), derive_stream(99, "init"))
     meta = load_checkpoint(target, old)
     assert meta == {"epoch": 3, "seed": 42, "arch": config(num_classes=4, input_size=32)}
@@ -147,7 +148,7 @@ def test_files_of_earlier_versions_stay_loadable(tmp_path, config, code, digest)
     save_checkpoint(target, new, epoch=3, seed=42)
     del tensors["meta.digest"]
     expected = tmp_path / "expected.xrnc"
-    _write_raw(expected, tensors)
+    _write_raw(expected, tensors.items())
     assert new.read_bytes() == expected.read_bytes()
 
 
@@ -206,7 +207,7 @@ META_DEFECTS = {"inf_epoch": ("meta.epoch", 0, np.inf), "nan_epoch": ("meta.epoc
                                     "zero_size", "nan_size", "fractional_size",
                                     "fractional_classes", *META_DEFECTS, "version",
                                     "record_count", "trailing_bytes", "extra_tensor",
-                                    "missing_tensor"])
+                                    "missing_tensor", "duplicate_record"])
 def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # every tensor of a differently seeded model, with one defect: the last
     # buffer's shape or presence, checked after all the others have passed, a
@@ -215,14 +216,15 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     # int() would truncate to a valid record), an entry of meta.epoch or
     # meta.seed that is no whole number in [0, 2**24) or in a seed limb's
     # [0, 2**16), or the byte layout (under a recomputed CRC), each checked
-    # before any tensor is copied and named with the file; rebuilding a model
-    # from the file fails the same way
+    # before any tensor is copied and named with the file, or a second record
+    # of a tensor (zeros, which a later-record-wins reader would load);
+    # rebuilding a model from the file fails the same way
     source = build_model(mini_resnet(num_classes=4, input_size=32), derive_stream(11, "init"))
     tensors = dict(source.store.state_tensors())
     last = list(tensors)[-1]
     tensors.update(_meta_tensors(source, 0, 0))
     match = "meta.arch"
-    layout = {}
+    layout, extra = {}, []
     if defect == "last_shape":
         tensors[last] = np.zeros(tensors[last].size + 1, dtype=np.float32)
         match = f"shape mismatch for '{last}'"
@@ -256,11 +258,14 @@ def test_rejected_load_leaves_model_untouched(tmp_path, resnet_model, defect):
     elif defect == "extra_tensor":
         tensors["stage9.block0.conv1.kernel"] = np.ones((2, 2), dtype=np.float32)
         match = "not present in the target model: .'stage9.block0.conv1.kernel'."
+    elif defect == "duplicate_record":
+        extra = [("stem.conv.kernel", np.zeros_like(tensors["stem.conv.kernel"]))]
+        match = "duplicate tensor record 'stem.conv.kernel'"
     else:
         del tensors[last]
         match = f"missing tensor '{last}'"
     path = tmp_path / "bad.xrnc"
-    _write_raw(path, tensors, **layout)
+    _write_raw(path, [*tensors.items(), *extra], **layout)
     before = {n: a.copy() for n, a in resnet_model.store.state_tensors().items()}
     with pytest.raises(CheckpointError, match=match) as exc:
         load_checkpoint(resnet_model, path)

@@ -155,7 +155,7 @@ class TestResidualBlock:
         def f():
             return ad.sum_axes(ad.bmul(block(Variable(x), train=True, update_stats=False), proj))
 
-        err = grad_check_directional(f, list(store.params.values()), h=1e-3)
+        err = grad_check_directional(f, list(store.params.values()))
         assert err < 1e-2
 
 
@@ -180,7 +180,7 @@ class TestDenseBlockStructure:
         def f():
             return ad.sum_axes(ad.bmul(block(Variable(x), train=True, update_stats=False), proj))
 
-        err = grad_check_directional(f, list(store.params.values()), h=1e-3)
+        err = grad_check_directional(f, list(store.params.values()))
         assert err < 1e-2
 
 
