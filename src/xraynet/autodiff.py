@@ -19,7 +19,7 @@ affine and relu as one node over the chunks it reads, each step done in
 place on the one output array it allocates). `batch_norm` alone is
 forward-only: nothing differentiates inference mode, and a backward that
 reaches it raises. Every other differentiable op has a finite-difference
-probe in `verification.check_ops`. The module holds only the engine and
+probe in `verification.OP_PROBES`. The module holds only the engine and
 its ops: the gradient checkers live in `verification`, and `nn` folds
 batch statistics into the running buffers. Each loss in `losses.py` is one
 `_op` node over the plain-array `_log_softmax`. No op broadcasts: `add` and

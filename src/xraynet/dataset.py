@@ -190,7 +190,7 @@ def weighted_sample(weights: np.ndarray, n: int, rng: Pcg32) -> np.ndarray:
 
 
 def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[SampleRecord]:
-    """Keep only classes a and b, relabelled to 0 and 1."""
+    """Keep only classes a and b, relabelled to 0 and 1; each must have a record."""
     if a == b:
         raise ValueError("binary_filter needs two distinct classes")
     out = []
@@ -199,8 +199,10 @@ def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[Sampl
             out.append(SampleRecord(r.image_ref, 0, r.split))
         elif r.label == b:
             out.append(SampleRecord(r.image_ref, 1, r.split))
-    if not out:
-        raise ValueError(f"no records of class {a} or {b}")
+    present = {r.label for r in out}
+    missing = [f"{c} ({CLASS_NAMES[c]})" for i, c in enumerate((a, b)) if i not in present]
+    if missing:
+        raise ValueError(f"no records of class {' or '.join(missing)}")
     return out
 
 

@@ -6,17 +6,22 @@ Analytic gradients come from the engine in the mode's dtype: float32, or
 float64 in verification mode. They are compared against central differences
 that are always taken in float64 at one step, FD_H = 1e-6: the checked
 tensor is held in float64 for both evaluations, and every op computes in
-the promoted dtype of its inputs. The thresholds are 1e-2 relative error in
+the promoted dtype of its inputs. The thresholds are 1e-3 relative error in
 float32 mode and 1e-5 in float64 mode; the float32 mode's worst error is
-about 2e-5 (`normalize`), the float32 rounding of its analytic gradients.
+about 2e-6 (`mini_resnet`), the float32 rounding of its analytic gradients,
+so a gradient 1 % wrong fails it.
 
-Conditioning matters more than randomness here: probe inputs keep relu/max
-arguments away from their kinks, and per-op probes use positive projections
-so no gradient coordinate cancels to the FD noise floor. Full-architecture
-checks probe each parameter tensor along its own gradient direction
-(`grad_check_directional`), which stays well-conditioned on deep
-batch-norm-centered networks, plus coordinate-wise probes of the head
-(the head-to-loss path crosses no kink).
+The op and loss probes are data: `OP_PROBES` and `LOSS_PROBES` map each
+probe's name to its function and each input's shape and distribution, and
+`check_probes` runs a table. Every probe draws its inputs, then a positive
+projection of its output, from a stream of its own name, "gradcheck.<name>"
+of `SEED`, so adding or removing a probe moves no other. Conditioning
+matters more than randomness here: the inputs keep relu/max arguments away
+from their kinks, and the positive projections keep every gradient
+coordinate clear of the FD noise floor. Full-architecture checks probe each
+parameter tensor along its own gradient direction (`grad_check_directional`),
+which stays well-conditioned on deep batch-norm-centered networks, plus
+coordinate-wise probes of the head (the head-to-loss path crosses no kink).
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ from .nn import FAMILIES, ArchitectureConfig, build_model
 from .rng import Pcg32, derive_stream
 
 FD_H = 1e-6  # the step of every central difference, taken in float64
-F32_THRESHOLD, F64_THRESHOLD = 1e-2, 1e-5
-# the seeds of the probe inputs of check_ops, check_losses and check_architecture
-OPS_SEED, LOSSES_SEED, ARCH_SEED = 7, 11, 13
+F32_THRESHOLD, F64_THRESHOLD = 1e-3, 1e-5
+SEED = 13  # the base seed of every probe's stream, architectures included
+# a probe: the checked function of its differentiable inputs, and each input's
+# shape and distribution, a function (rng, shape) -> float64 draws
+Probe = tuple[Callable[..., Variable], list[tuple[tuple[int, ...], Callable]]]
 
 
 def settings(f64: bool) -> tuple[np.dtype, float]:
@@ -123,123 +130,91 @@ def grad_check(fn: Callable[[], Variable], params: Sequence[Variable],
     return worst
 
 
-def _signed_away_from_zero(rng: Pcg32, shape, dtype) -> np.ndarray:
-    """Uniform magnitudes in [0.2, 1] with random signs: no relu kinks nearby."""
-    mag = rng.uniform_array(shape, 0.2, 1.0)
-    signs = np.where(rng.uniform_array(shape) < 0.5, -1.0, 1.0)
-    return (mag * signs).astype(dtype)
+def _uniform(lo: float, hi: float) -> Callable[[Pcg32, tuple], np.ndarray]:
+    return lambda rng, shape: rng.uniform_array(shape, lo, hi)
 
 
-def _positive(rng: Pcg32, shape, dtype, lo: float = 0.3, hi: float = 1.2) -> np.ndarray:
-    return rng.uniform_array(shape, lo, hi).astype(dtype)
+_POSITIVE, _SIGNED = _uniform(0.3, 1.2), _uniform(-1.0, 1.0)
 
 
-def check_ops(f64: bool = False) -> dict[str, float]:
-    """Max FD relative error for every differentiable op, keyed by op name."""
-    dtype, _ = settings(f64)
-    rng = derive_stream(OPS_SEED, "gradcheck.ops")
-    errors: dict[str, float] = {}
+def _away_from_zero(rng: Pcg32, shape) -> np.ndarray:
+    """Magnitudes in [0.2, 1) with random signs: no relu kink nearby."""
+    u = rng.uniform_array(shape, -0.8, 0.8)
+    return u + np.copysign(0.2, u)
 
-    def check(name: str, out_fn, proj: np.ndarray, params):
-        # every probe is the projection sum(out_fn() * proj)
-        errors[name] = grad_check(
-            lambda: ad.sum_axes(ad.bmul(out_fn(), ad.constant(proj))), params)
 
-    # positive input/kernel/projection keep every gradient coordinate well
-    # above the FD noise floor. Stride 1 takes the transposed-conv input
-    # gradient, and stride 1 with Cout < Cin also the shift-and-accumulate
-    # forward and dK; those two probes draw from streams of their own, so the
-    # later probes keep their inputs.
-    for name, stride, (xshape, kshape, pshape) in (
-            ("conv2d", 2, ((1, 2, 5, 5), (2, 2, 3, 3), (1, 2, 3, 3))),
-            ("conv2d_stride1", 1, ((1, 2, 5, 4), (2, 2, 3, 3), (1, 2, 5, 4))),
-            ("conv2d_thin", 1, ((1, 3, 5, 4), (2, 3, 3, 2), (1, 2, 5, 5)))):
-        rc = rng if name == "conv2d" else derive_stream(OPS_SEED, f"gradcheck.ops.{name}")
-        xc, kc, bc = (Variable(_positive(rc, shape, dtype), requires_grad=True)
-                      for shape in (xshape, kshape, kshape[:1]))
-        check(name, lambda: ad.conv2d(xc, kc, bc, stride=stride, padding=1),
-              _positive(rc, pshape, dtype), [xc, kc, bc])
-
-    # train-mode batch norm: normalize, whose modest spread and positive
-    # projection keep the centered gradients clear of the noise floor, and
-    # affine_relu, on a stream of its own, over two chunks whose
-    # |x*gamma + beta| >= 0.1 keeps every input off the kink, with and
-    # without the relu. Inference-mode batch_norm is forward-only: no probe.
-    xb = Variable(rng.uniform_array((2, 2, 3, 3), -0.4, 0.4).astype(dtype), requires_grad=True)
-    rng.uniforms(4)  # four draws left unused, so the later probes keep their inputs
-    pbn = _positive(rng, (2, 2, 3, 3), dtype)
-    check("normalize", lambda: ad.normalize(xb)[0], pbn, [xb])
-    ra = derive_stream(OPS_SEED, "gradcheck.ops.affine_relu")
-    xa1 = Variable(_signed_away_from_zero(ra, (2, 2, 3, 3), dtype), requires_grad=True)
-    xa2 = Variable(_signed_away_from_zero(ra, (2, 1, 3, 3), dtype), requires_grad=True)
-    ga = Variable(_positive(ra, (3,), dtype, 0.8, 1.2), requires_grad=True)
-    ba = Variable(ra.uniform_array((3,), -0.05, 0.05).astype(dtype), requires_grad=True)
-    pa3 = _positive(ra, (2, 3, 3, 3), dtype)
-    for name, relu in (("affine_relu", True), ("affine", False)):
-        check(name, lambda: ad.affine_relu([xa1, xa2], ga, ba, relu), pa3, [xa1, xa2, ga, ba])
-
-    xr = Variable(_signed_away_from_zero(rng, (3, 5), dtype), requires_grad=True)
-    pr = _positive(rng, (3, 5), dtype)
-    check("relu", lambda: ad.relu(xr), pr, [xr])
-
-    # well-separated values keep the argmax stable under +-h probes
-    vals = np.arange(2 * 2 * 4 * 4, dtype=np.float64)
-    order = list(range(vals.size))
+def _separated(rng: Pcg32, shape) -> np.ndarray:
+    """A shuffle of 0, 0.1, 0.2, ...: each max-pool argmax holds under +-FD_H."""
+    order = list(range(int(np.prod(shape))))
     rng.shuffle(order)
-    xm = Variable((vals[order].reshape(2, 2, 4, 4) * 0.1).astype(dtype), requires_grad=True)
-    pm = _positive(rng, (2, 2, 2, 2), dtype)
-    check("max_pool2d", lambda: ad.max_pool2d(xm), pm, [xm])
-
-    xa = Variable(rng.uniform_array((2, 2, 4, 4), -1.0, 1.0).astype(dtype), requires_grad=True)
-    pa = _positive(rng, (2, 2, 2, 2), dtype)
-    check("avg_pool2d", lambda: ad.avg_pool2d(xa), pa, [xa])
-
-    xg = Variable(rng.uniform_array((2, 3, 4, 4), -1.0, 1.0).astype(dtype), requires_grad=True)
-    pg = _positive(rng, (2, 3), dtype)
-    check("global_avg_pool", lambda: ad.global_avg_pool(xg), pg, [xg])
-
-    xl = Variable(_positive(rng, (2, 4), dtype), requires_grad=True)
-    wl = Variable(_positive(rng, (3, 4), dtype), requires_grad=True)
-    bl = Variable(_positive(rng, (3,), dtype), requires_grad=True)
-    pl = _positive(rng, (2, 3), dtype)
-    check("linear", lambda: ad.linear(xl, wl, bl), pl, [xl, wl, bl])
-
-    a1 = Variable(rng.uniform_array((2, 2, 3, 3), -1.0, 1.0).astype(dtype), requires_grad=True)
-    a2 = Variable(rng.uniform_array((2, 2, 3, 3), -1.0, 1.0).astype(dtype), requires_grad=True)
-    pd = _positive(rng, (2, 2, 3, 3), dtype)
-    check("add", lambda: ad.add(a1, a2), pd, [a1, a2])
-
-    c1 = Variable(rng.uniform_array((2, 2, 3, 3), -1.0, 1.0).astype(dtype), requires_grad=True)
-    c2 = Variable(rng.uniform_array((2, 3, 3, 3), -1.0, 1.0).astype(dtype), requires_grad=True)
-    pc = _positive(rng, (2, 5, 3, 3), dtype)
-    check("concat_channels", lambda: ad.concat_channels([c1, c2]), pc, [c1, c2])
-    return errors
+    return 0.1 * np.array(order, dtype=np.float64).reshape(shape)
 
 
-def check_losses(f64: bool = False) -> dict[str, float]:
+def _affine(relu: bool):
+    return lambda x1, x2, g, b: ad.affine_relu([x1, x2], g, b, relu)
+
+
+# two chunks whose |x*gamma + beta| >= 0.1 keeps every input off the relu kink
+_AFFINE_INPUTS = [((2, 2, 3, 3), _away_from_zero), ((2, 1, 3, 3), _away_from_zero),
+                  ((3,), _uniform(0.8, 1.2)), ((3,), _uniform(-0.05, 0.05))]
+_TARGETS = one_hot(np.array([1, 3, 0]), 4)
+
+# every differentiable op's probe, each calling its op through `ad` as it runs.
+# Positive conv and linear inputs keep every gradient coordinate above the FD
+# noise floor; stride 1 takes the transposed-conv input gradient, and stride 1
+# with Cout < Cin also the shift-and-accumulate forward and dK. Inference-mode
+# batch_norm is forward-only: no probe.
+OP_PROBES: dict[str, Probe] = {
+    "conv2d": (lambda x, k, b: ad.conv2d(x, k, b, stride=2, padding=1),
+               [((1, 2, 5, 5), _POSITIVE), ((2, 2, 3, 3), _POSITIVE), ((2,), _POSITIVE)]),
+    "conv2d_stride1": (lambda x, k, b: ad.conv2d(x, k, b, stride=1, padding=1),
+                       [((1, 2, 5, 4), _POSITIVE), ((2, 2, 3, 3), _POSITIVE), ((2,), _POSITIVE)]),
+    "conv2d_thin": (lambda x, k, b: ad.conv2d(x, k, b, stride=1, padding=1),
+                    [((1, 3, 5, 4), _POSITIVE), ((2, 3, 3, 2), _POSITIVE), ((2,), _POSITIVE)]),
+    "normalize": (lambda x: ad.normalize(x)[0], [((2, 2, 3, 3), _uniform(-0.4, 0.4))]),
+    "affine_relu": (_affine(True), _AFFINE_INPUTS),
+    "affine": (_affine(False), _AFFINE_INPUTS),
+    "relu": (lambda x: ad.relu(x), [((3, 5), _away_from_zero)]),
+    "max_pool2d": (lambda x: ad.max_pool2d(x), [((2, 2, 4, 4), _separated)]),
+    "avg_pool2d": (lambda x: ad.avg_pool2d(x), [((2, 2, 4, 4), _SIGNED)]),
+    "global_avg_pool": (lambda x: ad.global_avg_pool(x), [((2, 3, 4, 4), _SIGNED)]),
+    "linear": (lambda x, w, b: ad.linear(x, w, b),
+               [((2, 4), _POSITIVE), ((3, 4), _POSITIVE), ((3,), _POSITIVE)]),
+    "add": (lambda a, b: ad.add(a, b), [((2, 2, 3, 3), _SIGNED)] * 2),
+    "concat_channels": (lambda a, b: ad.concat_channels([a, b]),
+                        [((2, 2, 3, 3), _SIGNED), ((2, 3, 3, 3), _SIGNED)]),
+}
+
+# every loss's probe, on fixed one-hot targets; the last takes weights, bias
+# and input together through a linear layer
+LOSS_PROBES: dict[str, Probe] = {
+    "cross_entropy": (lambda z: cross_entropy(z, _TARGETS), [((3, 4), _SIGNED)]),
+    "focal_loss": (lambda z: focal_loss(z, _TARGETS, gamma=2.0), [((3, 4), _SIGNED)]),
+    "focal_loss_gamma0": (lambda z: focal_loss(z, _TARGETS, gamma=0.0), [((3, 4), _SIGNED)]),
+    "focal_loss_gamma_half": (lambda z: focal_loss(z, _TARGETS, gamma=0.5), [((3, 4), _SIGNED)]),
+    "focal_through_linear": (
+        lambda x, w, b: focal_loss(ad.linear(x, w, b), _TARGETS[:2]),
+        [((2, 5), _POSITIVE), ((4, 5), _uniform(-0.5, 0.5)), ((4,), _uniform(-0.2, 0.2))]),
+}
+
+
+def check_probes(probes: dict[str, Probe], f64: bool = False) -> dict[str, float]:
+    """Max FD relative error of each probe of a table such as `OP_PROBES`,
+    keyed by its name.
+
+    Each probe checks sum(fn(*inputs) * proj) with respect to its inputs,
+    for a positive projection `proj` of fn's output shape. The inputs and
+    then `proj` are drawn from the probe's own stream, "gradcheck.<name>" of
+    `SEED`, so a probe's error does not depend on which others the table holds.
+    """
     dtype, _ = settings(f64)
-    rng = derive_stream(LOSSES_SEED, "gradcheck.losses")
     errors: dict[str, float] = {}
-    n, c = 3, 4
-    logits = Variable(rng.uniform_array((n, c), -1.0, 1.0).astype(dtype), requires_grad=True)
-    labels = np.array([rng.randint_below(c) for _ in range(n)])
-    targets = one_hot(labels, c).astype(np.float64)
-
-    errors["cross_entropy"] = grad_check(lambda: cross_entropy(logits, targets), [logits])
-    errors["focal_loss"] = grad_check(
-        lambda: focal_loss(logits, targets, gamma=2.0), [logits])
-    errors["focal_loss_gamma0"] = grad_check(
-        lambda: focal_loss(logits, targets, gamma=0.0), [logits])
-    errors["focal_loss_gamma_half"] = grad_check(
-        lambda: focal_loss(logits, targets, gamma=0.5), [logits])
-
-    # through a linear layer: weights, bias, and input together
-    xw = Variable(_positive(rng, (2, 5), dtype), requires_grad=True)
-    ww = Variable(rng.uniform_array((c, 5), -0.5, 0.5).astype(dtype), requires_grad=True)
-    bw = Variable(rng.uniform_array((c,), -0.2, 0.2).astype(dtype), requires_grad=True)
-    t2 = one_hot(np.array([rng.randint_below(c) for _ in range(2)]), c).astype(np.float64)
-    errors["focal_through_linear"] = grad_check(
-        lambda: focal_loss(ad.linear(xw, ww, bw), t2), [xw, ww, bw])
+    for name, (fn, inputs) in probes.items():
+        rng = derive_stream(SEED, f"gradcheck.{name}")
+        params = [Variable(dist(rng, shape).astype(dtype), requires_grad=True)
+                  for shape, dist in inputs]
+        proj = ad.constant(_POSITIVE(rng, fn(*params).shape).astype(dtype))
+        errors[name] = grad_check(lambda: ad.sum_axes(ad.bmul(fn(*params), proj)), params)
     return errors
 
 
@@ -252,8 +227,8 @@ def check_architecture(family: str, f64: bool = False) -> float:
     """
     dtype, _ = settings(f64)
     model = build_model(ArchitectureConfig(family, 16, 4),
-                        derive_stream(ARCH_SEED, f"gradcheck.{family}"), dtype=dtype)
-    rng = derive_stream(ARCH_SEED, f"gradcheck.{family}.data")
+                        derive_stream(SEED, f"gradcheck.{family}"), dtype=dtype)
+    rng = derive_stream(SEED, f"gradcheck.{family}.data")
     x = rng.uniform_array((2, 1, 16, 16), 0.0, 1.0).astype(dtype)
     targets = one_hot(np.array([rng.randint_below(4) for _ in range(2)]), 4)
 
@@ -269,8 +244,7 @@ def check_architecture(family: str, f64: bool = False) -> float:
 def check_all(f64: bool = False) -> dict[str, float]:
     """The max FD relative error of every op, every loss and both Mini
     architectures, keyed by name in that order."""
-    errors = check_ops(f64)
-    errors.update(check_losses(f64))
+    errors = check_probes({**OP_PROBES, **LOSS_PROBES}, f64)
     for family in FAMILIES:
         errors[f"mini_{family}"] = check_architecture(family, f64)
     return errors

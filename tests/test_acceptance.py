@@ -26,7 +26,7 @@ from xraynet.nn import ArchitectureConfig, build_model, freeze_backbone, mini_re
 from xraynet.rng import Pcg32, derive_stream
 from xraynet.synth import synthetic_bundle
 from xraynet.training import Adam, TrainConfig, fit, lr_at_epoch, make_loss, train_epoch
-from xraynet.verification import check_all
+from xraynet.verification import check_all, settings
 
 
 @contextmanager
@@ -66,14 +66,12 @@ def test_02_focal_point_value():
 
 
 def test_03_gradient_suite_all_ops_and_architectures():
+    (_, f32_threshold), (_, f64_threshold) = settings(False), settings(True)
     with criterion(3, "FD checks: every op and both Mini architectures "
-                      "(< 1e-2 f32, < 1e-5 f64 verification mode)"):
-        f32 = check_all(f64=False)
-        for name, err in f32.items():
-            assert err < 1e-2, f"{name} f32 error {err:.3e}"
-        f64 = check_all(f64=True)
-        for name, err in f64.items():
-            assert err < 1e-5, f"{name} f64 error {err:.3e}"
+                      f"(< {f32_threshold:g} f32, < {f64_threshold:g} f64 verification mode)"):
+        for f64, threshold in ((False, f32_threshold), (True, f64_threshold)):
+            for name, err in check_all(f64).items():
+                assert err < threshold, f"{name} {'f64' if f64 else 'f32'} error {err:.3e}"
 
 
 def test_04_sampler_balance_on_paper_counts():

@@ -12,7 +12,7 @@ from xraynet import autodiff as ad
 from xraynet.autodiff import Variable, backward
 from xraynet.nn import BatchNorm2d, ParameterStore
 from xraynet.rng import Pcg32
-from xraynet.verification import check_ops, grad_check, grad_check_directional
+from xraynet.verification import OP_PROBES, grad_check, grad_check_directional
 
 
 def reference_conv2d(x, k, b, stride=1, padding=0):
@@ -734,7 +734,7 @@ class TestGradCheck:
         assert y._grad is None
 
 
-# the public functions of `autodiff` that no `check_ops` probe covers, and why
+# the public functions of `autodiff` that no `OP_PROBES` probe covers, and why
 UNPROBED = {
     # the engine: graph building and the backward walk
     "constant", "no_grad", "backward",
@@ -756,49 +756,18 @@ def unprobed_ops(probe_names):
 class TestEveryOpIsProbed:
     """Every differentiable op is gated by a finite-difference probe."""
 
-    @pytest.fixture(scope="class")
-    def probe_names(self):
-        return list(check_ops())
+    def test_every_public_op_has_a_probe_or_a_listed_reason(self):
+        assert unprobed_ops(OP_PROBES) == []
 
-    def test_every_public_op_has_a_probe_or_a_listed_reason(self, probe_names):
-        assert unprobed_ops(probe_names) == []
-
-    def test_every_listed_name_is_a_public_function_without_a_probe(self, probe_names):
+    def test_every_listed_name_is_a_public_function_without_a_probe(self):
         for name in UNPROBED:
-            assert inspect.isfunction(getattr(ad, name, None)) and name not in probe_names
+            assert inspect.isfunction(getattr(ad, name, None)) and name not in OP_PROBES
 
-    def test_dropping_any_op_probe_is_caught(self, probe_names):
-        named = [name for name in probe_names if inspect.isfunction(getattr(ad, name, None))]
+    def test_dropping_any_op_probe_is_caught(self):
+        named = [name for name in OP_PROBES if inspect.isfunction(getattr(ad, name, None))]
         assert len(named) >= 10
         for name in named:
-            assert unprobed_ops([n for n in probe_names if n != name]) == [name]
-
-
-def _conv(stride):
-    return lambda x, k, b: ad.conv2d(x, k, b, stride=stride, padding=1)
-
-
-def _affine(relu):
-    return lambda x1, x2, g, b: ad.affine_relu([x1, x2], g, b, relu)
-
-
-# every `check_ops` probe: the op as a function of its differentiable
-# inputs, and their shapes
-PROBED_OPS = {
-    "conv2d": (_conv(2), [(1, 2, 5, 5), (2, 2, 3, 3), (2,)]),
-    "conv2d_stride1": (_conv(1), [(1, 2, 5, 4), (2, 2, 3, 3), (2,)]),
-    "conv2d_thin": (_conv(1), [(1, 3, 5, 4), (2, 3, 3, 3), (2,)]),
-    "normalize": (lambda x: ad.normalize(x)[0], [(2, 2, 3, 3)]),
-    "affine_relu": (_affine(True), [(2, 2, 3, 3), (2, 1, 3, 3), (3,), (3,)]),
-    "affine": (_affine(False), [(2, 2, 3, 3), (2, 1, 3, 3), (3,), (3,)]),
-    "relu": (ad.relu, [(3, 5)]),
-    "max_pool2d": (ad.max_pool2d, [(2, 2, 4, 4)]),
-    "avg_pool2d": (ad.avg_pool2d, [(2, 2, 4, 4)]),
-    "global_avg_pool": (ad.global_avg_pool, [(2, 3, 4, 4)]),
-    "linear": (ad.linear, [(2, 4), (3, 4), (3,)]),
-    "add": (ad.add, [(2, 2, 3, 3), (2, 2, 3, 3)]),
-    "concat_channels": (lambda a, b: ad.concat_channels([a, b]), [(2, 2, 3, 3), (2, 3, 3, 3)]),
-}
+            assert unprobed_ops([n for n in OP_PROBES if n != name]) == [name]
 
 
 class TestMixedPrecision:
@@ -806,15 +775,12 @@ class TestMixedPrecision:
     gradient checks hold one input in float64 while the rest of the graph
     stays float32."""
 
-    def test_every_probe_is_listed(self):
-        assert sorted(PROBED_OPS) == sorted(check_ops())
-
-    @pytest.mark.parametrize("name,wide", [(name, i) for name, (_, shapes) in PROBED_OPS.items()
-                                           for i in range(len(shapes))])
+    @pytest.mark.parametrize("name,wide", [(name, i) for name, (_, inputs) in OP_PROBES.items()
+                                           for i in range(len(inputs))])
     def test_one_float64_input_gives_the_float64_forward(self, name, wide):
-        op, shapes = PROBED_OPS[name]
+        op, inputs = OP_PROBES[name]
         rng = Pcg32(31, wide)
-        arrays = [rng.uniform_array(shape, -1.0, 1.0).astype(np.float32) for shape in shapes]
+        arrays = [dist(rng, shape).astype(np.float32) for shape, dist in inputs]
         mixed = op(*(Variable(a.astype(np.float64) if i == wide else a)
                      for i, a in enumerate(arrays))).data
         ref = op(*(Variable(a.astype(np.float64)) for a in arrays)).data

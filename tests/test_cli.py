@@ -318,6 +318,24 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts, missing", [("6,6,0,0", "3 (Covid19)"),
+                                                 ("0,6,6,6", "0 (Normal)")])
+    def test_binary_class_absent_exit2_and_writes_nothing(self, tmp_path, capsys, counts, missing):
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--synthetic", counts, "--size", "16",
+                   "--epochs", "1", "--binary", "Normal,Covid19", "--out", str(out)) == 2
+        assert f"error: no records of class {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_binary_class_absent_from_manifest_exit2(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "r"
+        assert run("synth", "--counts", "3,3,3,0", "--size", "16", "--out", str(data)) == 0
+        assert run("train", "--preset", "RCE", "--manifest", str(data / "manifest.csv"),
+                   "--images-root", str(data), "--size", "16", "--epochs", "1",
+                   "--binary", "Normal,Covid19", "--out", str(out)) == 2
+        assert "error: no records of class 3 (Covid19)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_run_aborts_exit1(self, tmp_path, capsys):
         # the numpy overflow warnings of a diverging run are silenced for this
         # test alone: the suite turns them into errors, which would end the
@@ -424,7 +442,7 @@ class TestGradcheckCommand:
     def test_prints_every_op_loss_and_architecture_in_order(self, capsys):
         assert run("gradcheck") == 0
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
-        assert names == [*verification.check_ops(), *verification.check_losses(),
+        assert names == [*verification.OP_PROBES, *verification.LOSS_PROBES,
                          "mini_resnet", "mini_densenet"]
 
     def test_impossible_threshold_fails_nonzero(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -221,6 +222,12 @@ class TestBinaryFilter:
         records = [SampleRecord("a", 0, "Train")]
         with pytest.raises(ValueError, match="no records"):
             binary_filter(records, 1, 2)
+
+    @pytest.mark.parametrize("a, b, missing", [(0, 2, "2 (Virus)"), (1, 0, "1 (Bacteria)")])
+    def test_one_absent_class_rejected(self, a, b, missing):
+        records = [SampleRecord("a", 0, "Train"), SampleRecord("b", 0, "Test")]
+        with pytest.raises(ValueError, match=re.escape(f"no records of class {missing}")):
+            binary_filter(records, a, b)
 
     def test_balanced_synthetic_pair(self):
         records, _ = make_synthetic_dataset(6, size=16, seed=1)
