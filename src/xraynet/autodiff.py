@@ -29,6 +29,10 @@ sums everything.
 Inside `with no_grad():` every op returns a bare `Variable` that records no
 edges, so a pass that never calls `backward` keeps no graph alive.
 
+VJP closures keep references, not copies: `linear` and `conv2d` read their
+input's data, `relu` and `affine_relu` their own output. So nothing may
+mutate an op's inputs or output in place between forward and backward.
+
 `backward` needs no topological sort. Every Variable takes the next value of
 a creation counter, and an op creates its output after its inputs, so each
 node is newer than every node it reads: creation order is already a
@@ -147,8 +151,10 @@ def sum_axes(x: Variable) -> Variable:
 # ---------------------------------------------------------------------------
 
 def relu(x: Variable) -> Variable:
-    mask = x.data > 0
-    return _op(x.data * mask, [(x, lambda g: g * mask)])
+    """x * (x > 0); the VJP reads the mask back from the output, out > 0,
+    which has the same bits (NaN and -0.0 included), so no mask is kept."""
+    out = x.data * (x.data > 0)
+    return _op(out, [(x, lambda g: g * (out > 0))])
 
 
 def add(a: Variable, b: Variable) -> Variable:
@@ -314,29 +320,30 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     Output spatial dims follow the floor convention
     H' = (H + 2*padding - kH) // stride + 1 and must be >= 1.
 
-    The forward and dK take one of two routes, chosen from shapes alone:
+    The forward takes one of two routes, chosen from shapes alone. Thin
+    convs (stride 1, padding < min(kH, kW) and Cout < Cin, e.g. the
+    DenseNet growth and transition convs) shift and accumulate (kn2row,
+    Vasudevan et al. 2017): with xf the padded input flattened over Hp*Wp
+    and s = i*Wp + j, out = sum_ij K[:, :, i, j] @ xf[:, :, s:s+span] lands
+    on a grid of padded width Wp, whose last kW-1 columns per row are
+    dropped. Other convs run batched GEMMs over the unrolled input
+    (Chellapilla et al. 2006), `cols` = im2col(x) of shape
+    (N, Cin*kH*kW, H'*W'): out = K2 @ cols + b.
 
-    - Thin (stride 1 and Cout < Cin, e.g. the DenseNet growth and transition
-      convs): kn2row shift-and-accumulate (Vasudevan et al. 2017). With xf
-      the padded input flattened over Hp*Wp and s = i*Wp + j,
-      out = sum_ij K[:, :, i, j] @ xf[:, :, s:s+span] lands on a grid of
-      padded width Wp, whose last kW-1 columns per row are dropped, and
-      dK[:, :, i, j] = sum_n g_n @ xf_n[:, s:s+span]ᵀ with g zero-padded to
-      the same grid. No unrolled copy is made; the closure keeps only the
-      padded input.
-    - Otherwise: batched GEMMs over the unrolled input (Chellapilla et al.
-      2006): with `cols` = im2col(x) of shape (N, Cin*kH*kW, H'*W'),
-      out = K2 @ cols + b and dK = (sum_n cols_n @ g_nᵀ)ᵀ, where BLAS reads
-      the transposed view of g without copying it. This product order runs
-      faster than g_n @ cols_nᵀ, with bit-identical results on the OpenBLAS
-      build the pins were recorded with.
-
-    The two routes sum in different float orders. With stride 1 and
-    padding < min(kH, kW), dx is the full correlation of g with the flipped
-    kernel, channels transposed: an im2col of g padded by
-    (kH-1-padding, kW-1-padding), which has only Cout channels, times
-    flip(K)ᵀ. Other convs map K2ᵀ @ g back to the input with a col2im
-    scatter. db sums g over batch and space.
+    A "full" conv (stride 1, padding < min(kH, kW)) takes both gradients
+    from `gcols`, the im2col of g padded by (kH-1-padding, kW-1-padding),
+    of shape (N, Cout*kH*kW, H*W): dx = flip(K)ᵀ @ gcols, the full
+    correlation of g with the flipped kernel, channels transposed, and
+    dK = sum_n gcols_n @ x_nᵀ, reshaped to (Cout, kH, kW, Cin) and flipped
+    over the taps. `backward` hands a node's edges the same g in a row, so
+    the two edges share one gcols, memoised on the identity of g, and the
+    closures keep only x's data, which x holds anyway. Convs with no gcols
+    to share keep `cols` and take dK = (sum_n cols_n @ g_nᵀ)ᵀ: stride 2,
+    padding >= min(kH, kW), and wide convs whose input takes no gradient,
+    such as the stem (its g has 16 channels, its input 1). Their dx, where
+    x takes one, maps K2ᵀ @ g back to the input with a col2im scatter. A
+    thin conv has no `cols`, so its dK comes from gcols in any case. The
+    routes sum in different float orders; db sums g over batch and space.
     """
     xd, kd, bd = _promoted(x.data, kernel.data, bias.data)
     if xd.ndim != 4 or kd.ndim != 4:
@@ -360,41 +367,42 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     xp = _pad(xd, padding, padding)
     hp, wp = xp.shape[2], xp.shape[3]
     k2 = kd.reshape(cout, -1)
-    if stride == 1 and cout < cin:
+    full = stride == 1 and padding < min(kh, kw)
+    thin = full and cout < cin
+    if thin:
         xf = xp.reshape(n, cin, hp * wp)
         span = oh * wp - (kw - 1)  # the last grid row ends at its last kept column
-        shifts = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-        taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
+        taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
         grid = np.zeros((n, cout, oh * wp), dtype=xd.dtype)
-        for i, j, s in shifts:
-            grid[:, :, :span] += np.matmul(taps[i, j], xf[:, :, s:s + span])
+        for t, s in enumerate(i * wp + j for i in range(kh) for j in range(kw)):
+            grid[:, :, :span] += np.matmul(taps[t], xf[:, :, s:s + span])
         out = grid.reshape(n, cout, oh, wp)[:, :, :, :ow] + bd[None, :, None, None]
-
-        def vjp_k(g: np.ndarray) -> np.ndarray:
-            gg = np.zeros((n, cout, oh, wp), dtype=xd.dtype)
-            gg[:, :, :, :ow] = g
-            # (Cin, span) @ (span, Cout) runs faster in BLAS than its transpose
-            ggt = gg.reshape(n, cout, oh * wp)[:, :, :span].transpose(0, 2, 1)
-            dk = np.empty_like(kd)
-            for i, j, s in shifts:
-                dk[:, :, i, j] = np.matmul(xf[:, :, s:s + span], ggt).sum(axis=0).T
-            return dk
     else:
         cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*kh*kw, oh*ow)
         out = np.matmul(k2, cols)                               # (N, Cout, oh*ow)
         out += bd[None, :, None]
         out = out.reshape(n, cout, oh, ow)
+    memo = [None, None]  # the g the edges were last handed, and its im2col
 
-        def vjp_k(g: np.ndarray) -> np.ndarray:
-            # (Cin*kh*kw, oh*ow) @ (oh*ow, Cout) runs faster in BLAS than its transpose
-            g2t = g.reshape(n, cout, oh * ow).transpose(0, 2, 1)
-            return np.matmul(cols, g2t).sum(axis=0).T.reshape(kd.shape)
+    def gcols_of(g: np.ndarray) -> np.ndarray:
+        if memo[0] is not g:
+            gp = _pad(g, kh - 1 - padding, kw - 1 - padding)
+            memo[:] = g, _im2col(gp, kh, kw, 1, h, w)
+        return memo[1]
 
     def vjp_x_full(g: np.ndarray) -> np.ndarray:
-        qh, qw = kh - 1 - padding, kw - 1 - padding
-        gp = _pad(g, qh, qw)
         kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        return np.matmul(kt, _im2col(gp, kh, kw, 1, h, w)).reshape(n, cin, h, w)
+        return np.matmul(kt, gcols_of(g)).reshape(n, cin, h, w)
+
+    def vjp_k_full(g: np.ndarray) -> np.ndarray:
+        # (Cout*kh*kw, H*W) @ (H*W, Cin): BLAS reads the transposed view of x
+        dk = np.matmul(gcols_of(g), xd.reshape(n, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
+        return np.ascontiguousarray(dk.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+
+    def vjp_k_cols(g: np.ndarray) -> np.ndarray:
+        # (Cin*kh*kw, oh*ow) @ (oh*ow, Cout) runs faster in BLAS than its transpose
+        g2t = g.reshape(n, cout, oh * ow).transpose(0, 2, 1)
+        return np.matmul(cols, g2t).sum(axis=0).T.reshape(kd.shape)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         g2 = g.reshape(n, cout, oh * ow)
@@ -410,7 +418,8 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     def vjp_b(g: np.ndarray) -> np.ndarray:
         return g.sum(axis=(0, 2, 3))
 
-    full = stride == 1 and padding < min(kh, kw)
+    # only the closures passed on outlive the call, and with them the arrays they read
+    vjp_k = vjp_k_full if thin or (full and x.requires_grad) else vjp_k_cols
     return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
 
 
@@ -498,10 +507,11 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
 
     Over `normalize` outputs this is a train-mode batch norm (+ relu), the
     only batch norm a backward runs through (inference-mode `batch_norm` is
-    forward-only). It keeps neither the concatenation nor the pre-relu
-    values, only the relu mask; each x's VJP is gamma * g on its own
-    channels. `backward` hands every edge of a node the same g in a row, so
-    the edges share one g * mask.
+    forward-only). It keeps neither the concatenation, the pre-relu values
+    nor a relu mask: the mask is out > 0, read from its own output, which
+    has the bits of the pre-relu test (NaN and -0.0 included). Each x's VJP
+    is gamma * g * mask on its own channels. `backward` hands every edge of
+    a node the same g in a row, so the edges share one g * mask.
     """
     xd, gd, bd = _promoted(_concat_data(xs), gamma.data, beta.data)
     c = xd.shape[1]
@@ -510,13 +520,12 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
     gd = gd.reshape(1, c, 1, 1)
     out = xd * gd + bd.reshape(1, c, 1, 1)
     if relu:
-        mask = out > 0
-        out *= mask
-    memo = [None, None]  # the g the edges were last handed, and g * mask
+        out *= out > 0
+    memo = [None, None]  # the g the edges were last handed, and g * (out > 0)
 
     def masked(g: np.ndarray) -> np.ndarray:
         if relu and memo[0] is not g:
-            memo[:] = g, g * mask
+            memo[:] = g, g * (out > 0)
         return memo[1] if relu else g
 
     spans = _channel_spans(xs)

@@ -190,7 +190,8 @@ def weighted_sample(weights: np.ndarray, n: int, rng: Pcg32) -> np.ndarray:
 
 
 def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[SampleRecord]:
-    """Keep only classes a and b, relabelled to 0 and 1; each must have a record."""
+    """Keep only classes a and b, relabelled to 0 and 1; each must have a
+    Train record, or the task would train on one class."""
     if a == b:
         raise ValueError("binary_filter needs two distinct classes")
     out = []
@@ -199,10 +200,10 @@ def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[Sampl
             out.append(SampleRecord(r.image_ref, 0, r.split))
         elif r.label == b:
             out.append(SampleRecord(r.image_ref, 1, r.split))
-    present = {r.label for r in out}
+    present = {r.label for r in out if r.split == "Train"}
     missing = [f"{c} ({CLASS_NAMES[c]})" for i, c in enumerate((a, b)) if i not in present]
     if missing:
-        raise ValueError(f"no records of class {' or '.join(missing)}")
+        raise ValueError(f"no records of class {' or '.join(missing)} in the Train split")
     return out
 
 

@@ -108,9 +108,10 @@ class TestConv2d:
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradients_match_loop_oracle_exactly_on_integer_tensors(self, stride, padding, kshape, hw):
-        # stride 1 with padding < min(kh, kw) takes the transposed-conv dx,
-        # every other case (k=1 p>=1, k=2 p=2, all stride 2) the col2im one;
-        # integer values keep every sum exact in any order
+        # stride 1 with padding < min(kh, kw) takes dx and dK from the im2col
+        # of g, every other case (k=1 p>=1, k=2 p=2, all stride 2) the col2im
+        # dx and the dK over `cols`; integer values keep every sum exact in
+        # any order
         rng = Pcg32(stride * 100 + padding * 10 + kshape[0], kshape[1] * 10 + hw[0])
         self._check_gradients(rng, 3, 4, stride, padding, kshape, hw)
 
@@ -118,25 +119,75 @@ class TestConv2d:
     @pytest.mark.parametrize("kshape", [(1, 1), (2, 2), (3, 3), (3, 2)])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_thin_gradients_match_loop_oracle_exactly_on_integer_tensors(self, padding, kshape, hw):
-        # stride 1 with Cout < Cin takes the shift-and-accumulate forward and dK
+        # stride 1 with Cout < Cin takes the shift-and-accumulate forward
+        # when padding < min(kh, kw), the im2col one otherwise
         rng = Pcg32(500 + padding * 10 + kshape[0], kshape[1] * 10 + hw[0])
         self._check_gradients(rng, 5, 2, 1, padding, kshape, hw)
 
+    @pytest.mark.parametrize("cin, cout", [(3, 4), (5, 2)])
+    @pytest.mark.parametrize("kshape", [(1, 1), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_constant_input_gradients_match_loop_oracle_exactly_on_integer_tensors(
+            self, cin, cout, kshape, padding):
+        # an input that takes no gradient, as the stem's: a wide conv keeps
+        # `cols` for dK, a thin full one takes dK from the im2col of g
+        rng = Pcg32(700 + padding * 10 + kshape[0], kshape[1] * 10 + cin)
+        self._check_gradients(rng, cin, cout, 1, padding, kshape, (7, 8), x_grad=False)
+
     @staticmethod
-    def _check_gradients(rng, cin, cout, stride, padding, kshape, hw):
+    def _check_gradients(rng, cin, cout, stride, padding, kshape, hw, x_grad=True):
         kh, kw = kshape
         x = np.floor(rng.uniform_array((2, cin, *hw), -4, 5)).astype(np.float32)
         k = np.floor(rng.uniform_array((cout, cin, kh, kw), -4, 5)).astype(np.float32)
         b = np.floor(rng.uniform_array((cout,), -4, 5)).astype(np.float32)
-        xv, kv, bv = (Variable(a, requires_grad=True) for a in (x, k, b))
+        xv = Variable(x, requires_grad=x_grad)
+        kv, bv = Variable(k, requires_grad=True), Variable(b, requires_grad=True)
         out = ad.conv2d(xv, kv, bv, stride=stride, padding=padding)
         npt.assert_array_equal(out.data, reference_conv2d(x, k, b, stride, padding).astype(np.float32))
         g = np.floor(rng.uniform_array(out.shape, -4, 5)).astype(np.float32)
         backward(ad.sum_axes(ad.bmul(out, ad.constant(g))))  # upstream gradient g
         dx, dk = reference_conv2d_vjp(x, k, g, stride, padding)
         for v, want in ((xv, dx), (kv, dk), (bv, g.sum(axis=(0, 2, 3)))):
-            assert v.grad.dtype == np.float32
-            npt.assert_array_equal(v.grad, want.astype(np.float32))
+            if v.requires_grad:
+                assert v.grad.dtype == np.float32
+                npt.assert_array_equal(v.grad, want.astype(np.float32))
+        assert x_grad or xv._grad is None
+
+    @staticmethod
+    def _edges_take_each_new_gradient(conv2d):
+        """Whether the x and kernel edges of full convs, wide and thin, handed
+        one upstream gradient after another, each a new array of the same
+        shape (the second the first with its batch reversed, so the same
+        values), return the loop oracle's gradients of the g they are
+        handed."""
+        rng = Pcg32(41, 0)
+        for cin, cout in ((3, 4), (5, 2)):
+            x = np.floor(rng.uniform_array((2, cin, 5, 5), -4, 5)).astype(np.float32)
+            k = np.floor(rng.uniform_array((cout, cin, 3, 3), -4, 5)).astype(np.float32)
+            xv, kv = Variable(x, requires_grad=True), Variable(k, requires_grad=True)
+            out = conv2d(xv, kv, Variable(np.zeros(cout, np.float32), requires_grad=True), padding=1)
+            gs = np.floor(rng.uniform_array((2, *out.shape), -4, 5)).astype(np.float32)
+            for g in (gs[0], gs[0][::-1].copy(), gs[1]):
+                want = reference_conv2d_vjp(x, k, g, 1, 1)
+                got = [vjp(g) for _, vjp in out._edges[:2]]
+                if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                    return False
+        return True
+
+    def test_full_conv_edges_take_each_new_gradient(self):
+        assert self._edges_take_each_new_gradient(ad.conv2d)
+
+    @pytest.mark.parametrize("key", [
+        "memo[0] is None",                                   # the first g only
+        "memo[0] is None or memo[0].shape != g.shape",       # the shape of g
+        "memo[0] is None or memo[0].sum() != g.sum()",       # the values of g, not their order
+    ])
+    def test_memo_keyed_on_anything_but_the_identity_of_g_caught(self, key):
+        src = inspect.getsource(ad.conv2d)
+        assert src.count("memo[0] is not g") == 1
+        namespace = dict(vars(ad))
+        exec(src.replace("memo[0] is not g", key), namespace)
+        assert not self._edges_take_each_new_gradient(namespace["conv2d"])
 
     def test_thin_forward_allocates_no_unrolled_input(self):
         # a dense1.layer3-shaped conv: im2col would copy the input k² = 9 times
@@ -560,13 +611,27 @@ class TestSimpleOps:
         assert x.grad.sum() == pytest.approx(4.0)
 
 
-def _saved_array(node, name):
-    """The array called `name` that one of `node`'s VJP closures saved."""
-    for _, vjp in node._edges:
-        cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__ or ()))
-        if name in cells:
-            return cells[name].cell_contents
-    raise KeyError(name)
+def _saved_arrays(node):
+    """{name: array} for every array that `node`'s VJP closures keep, also
+    through the functions they call and the lists they hold (memos)."""
+    saved, fns = {}, [vjp for _, vjp in node._edges]
+    while fns:
+        fn = fns.pop()
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            val = cell.cell_contents
+            if inspect.isfunction(val):
+                fns.append(val)
+            for i, a in enumerate(val if isinstance(val, list) else [val]):
+                if isinstance(a, np.ndarray):
+                    saved[name if not isinstance(val, list) else f"{name}[{i}]"] = a
+    return saved
+
+
+def _owner(a):
+    """The array that owns `a`'s memory (`a` itself unless it is a view)."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 class TestBackward:
@@ -607,19 +672,47 @@ class TestBackward:
     def test_saved_arrays_freed_while_the_root_is_held(self):
         # as in a training step before it drops its logits and loss: the
         # caller still holds the root and every node, yet the walk releases
-        # each node's closures and the arrays they saved
+        # each node's closures and the arrays they saved; a stride-2 conv
+        # keeps its unrolled input, `cols`, which no other node holds
         rng = Pcg32(12, 5)
         x = Variable(rng.uniform_array((2, 3, 6, 6), -1, 1).astype(np.float32), requires_grad=True)
         k = Variable(rng.uniform_array((4, 3, 3, 3), -1, 1).astype(np.float32), requires_grad=True)
         b = Variable(np.zeros(4, dtype=np.float32), requires_grad=True)
-        out = ad.conv2d(x, k, b, padding=1)
+        out = ad.conv2d(x, k, b, stride=2, padding=1)
         act = ad.relu(out)
         root = ad.sum_axes(act)
-        saved = [weakref.ref(_saved_array(out, "cols")), weakref.ref(_saved_array(act, "mask"))]
-        assert all(ref() is not None for ref in saved)
+        saved = weakref.ref(_saved_arrays(out)["cols"])
+        assert saved() is not None
         backward(root)
-        assert [ref() is None for ref in saved] == [True, True]
-        assert root.data.shape == () and act.data.shape == out.data.shape == (2, 4, 6, 6)
+        assert saved() is None
+        assert root.data.shape == () and act.data.shape == out.data.shape == (2, 4, 3, 3)
+
+    @pytest.mark.parametrize("cin, cout", [(3, 4), (5, 2)])
+    @pytest.mark.parametrize("kk, padding", [(3, 1), (3, 0), (2, 1)])
+    def test_full_conv_keeps_only_its_input_and_kernel(self, cin, cout, kk, padding):
+        # stride 1 and padding < k: both gradients come from the im2col of g,
+        # so neither `cols` nor the padded input outlives the forward, on the
+        # wide route (cin < cout) and the thin one
+        rng = Pcg32(12, 6)
+        x = Variable(rng.uniform_array((2, cin, 6, 6), -1, 1).astype(np.float32), requires_grad=True)
+        k = Variable(rng.uniform_array((cout, cin, kk, kk), -1, 1).astype(np.float32),
+                     requires_grad=True)
+        b = Variable(np.zeros(cout, dtype=np.float32), requires_grad=True)
+        out = ad.conv2d(x, k, b, padding=padding)
+        owners = {id(_owner(a)) for a in _saved_arrays(out).values()}
+        assert owners == {id(x.data), id(k.data)}
+
+    @pytest.mark.parametrize("op", ["relu", "affine_relu"])
+    def test_relu_keeps_no_mask(self, op):
+        # the VJP reads out > 0 back from the output the node holds anyway
+        rng = Pcg32(12, 7)
+        x = Variable(rng.uniform_array((2, 3, 4, 4), -1, 1).astype(np.float32), requires_grad=True)
+        gamma = Variable(np.ones(3, np.float32), requires_grad=True)
+        beta = Variable(np.zeros(3, np.float32), requires_grad=True)
+        out = ad.relu(x) if op == "relu" else ad.affine_relu([x], gamma, beta)
+        owners = {id(_owner(a)) for a in _saved_arrays(out).values()}
+        assert owners <= {id(out.data), id(x.data), id(gamma.data)}
+        assert id(out.data) in owners
 
     def test_non_scalar_root_rejected(self):
         x = Variable(np.zeros(3, dtype=np.float32), requires_grad=True)

@@ -336,6 +336,20 @@ class TestTrain:
         assert "error: no records of class 3 (Covid19)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_binary_class_without_train_records_exit2(self, tmp_path, capsys):
+        # Covid19 keeps its Test rows only, so training would see one class
+        data, out = tmp_path / "data", tmp_path / "r"
+        assert run("synth", "--counts", "4", "--size", "16", "--out", str(data)) == 0
+        manifest = data / "manifest.csv"
+        rows = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(r for r in rows if "train_c3_" not in r))
+        assert run("train", "--preset", "RCE", "--manifest", str(manifest),
+                   "--images-root", str(data), "--size", "16", "--epochs", "1",
+                   "--binary", "Normal,Covid19", "--out", str(out)) == 2
+        assert ("error: no records of class 3 (Covid19) in the Train split"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_diverging_run_aborts_exit1(self, tmp_path, capsys):
         # the numpy overflow warnings of a diverging run are silenced for this
         # test alone: the suite turns them into errors, which would end the
@@ -355,7 +369,7 @@ class TestTrain:
 # move the trajectory updates these values and says which and why.
 TRAJECTORY_PINS = {
     "RFL": (0xFC1BD33C, 0xC02D3B20),
-    "DCE": (0xA11B357D, 0x3EFDF721),
+    "DCE": (0xD2BED907, 0x964DC9D3),
     "RCE": (0xFB5EABA8, 0x9149C046),
     "PRFL": (0x4E056389, 0xFA8774B4),
 }

@@ -229,6 +229,12 @@ class TestBinaryFilter:
         with pytest.raises(ValueError, match=re.escape(f"no records of class {missing}")):
             binary_filter(records, a, b)
 
+    def test_class_without_train_records_rejected(self):
+        # a class with Test records only would leave training one class
+        records = [SampleRecord("a", 0, "Train"), SampleRecord("b", 2, "Test")]
+        with pytest.raises(ValueError, match=re.escape("no records of class 2 (Virus) in the Train split")):
+            binary_filter(records, 0, 2)
+
     def test_balanced_synthetic_pair(self):
         records, _ = make_synthetic_dataset(6, size=16, seed=1)
         sub = binary_filter(records, 2, 0)

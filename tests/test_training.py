@@ -344,12 +344,9 @@ class TestEvaluateBuildsNoGraph:
             assert p._grad is not None and np.any(p._grad != 0), name
 
 
-@pytest.mark.parametrize("build", [mini_resnet, mini_densenet])
-def test_backward_peak_stays_near_the_forward_live_set(build):
-    # backward frees each node's saved arrays as it walks, so a step's peak in
-    # backward is the forward's live set plus the gradients in flight: 1.2 MiB
-    # over it for MiniResNet and 0.3 MiB for MiniDenseNet at 32 px, batch 8.
-    # A walk that keeps the whole graph alive to its end adds 2.7 and 6.9 MiB.
+def _traced_train_step(build) -> tuple[int, int]:
+    """(the forward's live set, backward's peak) in bytes, traced by
+    tracemalloc, for one train step at 32 px, batch 8."""
     model = build_model(build(4, 32), derive_stream(0, "init"))
     x = derive_stream(1, "x").uniform_array((8, 1, 32, 32), 0.0, 1.0).astype(np.float32)
     loss_fn = make_loss(cfg(preset="RCE"))
@@ -359,10 +356,34 @@ def test_backward_peak_stays_near_the_forward_live_set(build):
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         ad.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        return live, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [mini_resnet, mini_densenet])
+def test_backward_peak_stays_near_the_forward_live_set(build):
+    # backward frees each node's saved arrays as it walks, so a step's peak in
+    # backward is the forward's live set plus the gradients in flight: 1.5 MiB
+    # over it for MiniResNet and 1.0 MiB for MiniDenseNet at 32 px, batch 8.
+    # A walk that keeps the whole graph alive to its end adds 2.7 and 6.9 MiB.
+    live, peak = _traced_train_step(build)
     assert peak - live < 2 * 2**20, f"backward peaks {(peak - live) / 2**20:.2f} MiB over the forward"
+
+
+# the forward's live set at 32 px, batch 8: 7.73 MiB (MiniResNet) and 16.19
+# MiB (MiniDenseNet), since a full conv keeps its input rather than an
+# unrolled or padded copy of it and relu keeps no mask. Keeping MiniResNet's
+# stride-1 3x3 convs' unrolled inputs again reads 13.6 MiB, and keeping the
+# relu masks 8.1 and 17.9 MiB.
+FORWARD_LIVE_MIB = {"mini_resnet": 8.0, "mini_densenet": 16.5}
+
+
+@pytest.mark.parametrize("build", [mini_resnet, mini_densenet])
+def test_forward_keeps_no_copy_that_a_gradient_does_not_need(build):
+    live, _ = _traced_train_step(build)
+    bound = FORWARD_LIVE_MIB[build.__name__]
+    assert live < bound * 2**20, f"forward keeps {live / 2**20:.2f} MiB, over {bound} MiB"
 
 
 class TestFit:
