@@ -32,6 +32,9 @@ edges, so a pass that never calls `backward` keeps no graph alive.
 VJP closures keep references, not copies: `linear` and `conv2d` read their
 input's data, `relu` and `affine_relu` their own output. So nothing may
 mutate an op's inputs or output in place between forward and backward.
+Every windowed op (conv's im2col and col2im, both poolings) reads its
+windows through `_taps` and scatters back with `_add_taps`, and edges that
+share work on their gradient share it through `_once_per_g`.
 
 `backward` needs no topological sort. Every Variable takes the next value of
 a creation counter, and an op creates its output after its inputs, so each
@@ -218,62 +221,59 @@ def linear(x: Variable, weight: Variable, bias: Variable) -> Variable:
     ])
 
 
-def _pooled_shape(xd: np.ndarray) -> tuple[int, int]:
-    """(H//POOL, W//POOL) of an NCHW input: non-overlapping POOL x POOL
-    windows at stride POOL, a trailing odd row or column left out."""
+def _check_poolable(xd: np.ndarray) -> None:
     if xd.ndim != 4 or min(xd.shape[2:]) < POOL:
         raise ValueError(f"pooling: expected NCHW input of at least {POOL}x{POOL}, "
                          f"got shape {xd.shape}")
-    return xd.shape[2] // POOL, xd.shape[3] // POOL
 
 
-def _window_corners(a: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
-    """The top-left, top-right, bottom-left and bottom-right element of every
-    2x2 window of NCHW `a`, as four strided (N, C, oh, ow) views."""
-    return [a[:, :, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]
+def _taps(a: np.ndarray, kh: int, kw: int, stride: int) -> list[np.ndarray]:
+    """Tap (i, j) of every kh x kw window of NCHW `a` at `stride`, (i, j) in
+    row-major order, as strided (N, C, (H-kh)//stride + 1, (W-kw)//stride + 1)
+    views. Every windowed op walks its windows through these."""
+    oh = (a.shape[2] - kh) // stride + 1
+    ow = (a.shape[3] - kw) // stride + 1
+    return [a[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            for i in range(kh) for j in range(kw)]
+
+
+def _add_taps(shape: tuple, dtype, parts: Iterable[np.ndarray], kh: int, kw: int, stride: int) -> np.ndarray:
+    """The adjoint of `_taps`: zeros of NCHW `shape` with the t-th of `parts`
+    added into tap t, tap after tap, so overlapping windows sum in tap order."""
+    out = np.zeros(shape, dtype=dtype)
+    for tap, part in zip(_taps(out, kh, kw, stride), parts):
+        tap += part
+    return out
 
 
 def max_pool2d(x: Variable) -> Variable:
-    """2x2 max pooling at stride 2 (POOL = 2): the first maximum of the four
-    `_window_corners` wins ties, and the VJP adds g * (argmax == k) into
-    corner k of a zero gradient; a trailing odd row or column gets none."""
+    """2x2 max pooling at stride 2 (POOL = 2): the first maximum of each
+    window's four `_taps` wins ties, and the VJP scatters g * (argmax == t)
+    into tap t (`_add_taps`); a trailing odd row or column gets none."""
     xd = x.data
-    oh, ow = _pooled_shape(xd)
-    corners = np.stack(_window_corners(xd, oh, ow))
-    amax = corners.argmax(axis=0)
-    out = np.take_along_axis(corners, amax[None], axis=0)[0]
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros_like(xd)
-        for k, corner in enumerate(_window_corners(gx, oh, ow)):
-            corner += g * (amax == k)
-        return gx
-
-    return _op(out, [(x, vjp)])
+    _check_poolable(xd)
+    taps = np.stack(_taps(xd, POOL, POOL, POOL))
+    amax = taps.argmax(axis=0)
+    out = np.take_along_axis(taps, amax[None], axis=0)[0]
+    return _op(out, [(x, lambda g: _add_taps(
+        xd.shape, xd.dtype, (g * (amax == t) for t in range(POOL * POOL)), POOL, POOL, POOL))])
 
 
 def avg_pool2d(x: Variable) -> Variable:
     """2x2 average pooling at stride 2 (POOL = 2), summed as
-    ((top-left + top-right) + (bottom-left + bottom-right)) / 4 over four
-    strided slices. That is the order in which numpy's mean over each
-    window's two axes adds when the pooled map is at least 2 wide (a map 1 wide
-    it adds left to right); written down, the result no longer rests on
-    numpy's reduction internals. The VJP adds g/4 into the same four slices
-    of a zero gradient; a trailing odd row or column gets none."""
+    ((top-left + top-right) + (bottom-left + bottom-right)) / 4 over the four
+    `_taps`. That is the order in which numpy's mean over each window's two
+    axes adds when the pooled map is at least 2 wide (a map 1 wide it adds
+    left to right); written down, the result no longer rests on numpy's
+    reduction internals. The VJP scatters g/4 into every tap (`_add_taps`);
+    a trailing odd row or column gets none."""
     xd = x.data
-    oh, ow = _pooled_shape(xd)
-    tl, tr, bl, br = _window_corners(xd, oh, ow)
+    _check_poolable(xd)
+    tl, tr, bl, br = _taps(xd, POOL, POOL, POOL)
     out = (tl + tr) + (bl + br)
     out /= 4
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros_like(xd)
-        gs = (g * (1.0 / 4)).astype(xd.dtype, copy=False)
-        for corner in _window_corners(gx, oh, ow):
-            corner += gs
-        return gx
-
-    return _op(out, [(x, vjp)])
+    return _op(out, [(x, lambda g: _add_taps(
+        xd.shape, xd.dtype, [(g * (1.0 / 4)).astype(xd.dtype, copy=False)] * 4, POOL, POOL, POOL))])
 
 
 def global_avg_pool(x: Variable) -> Variable:
@@ -302,14 +302,29 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    # slice-copy per kernel offset: much faster than reshaping a 6-D strided view
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The `_taps` of NCHW `xp`, copied one by one into a preallocated
+    (N, C*kh*kw, H'*W') array: faster than stacking them."""
+    taps = _taps(xp, kh, kw, stride)
+    n, c, oh, ow = taps[0].shape
+    cols = np.empty((n, c, kh * kw, oh, ow), dtype=xp.dtype)
+    for t, tap in enumerate(taps):
+        cols[:, :, t] = tap
     return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def _once_per_g(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """`fn`, run once per upstream gradient g: `backward` hands the edges of a
+    node the same g object one after another, so, keyed on the identity of g,
+    the edges share one fn(g), and any other g, even an equal one, gets its own."""
+    memo = [None, None]  # the g last handed, and fn of it
+
+    def shared(g: np.ndarray) -> np.ndarray:
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return shared
 
 
 def conv2d(x: Variable, kernel: Variable, bias: Variable,
@@ -335,13 +350,12 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
     of shape (N, Cout*kH*kW, H*W): dx = flip(K)ᵀ @ gcols, the full
     correlation of g with the flipped kernel, channels transposed, and
     dK = sum_n gcols_n @ x_nᵀ, reshaped to (Cout, kH, kW, Cin) and flipped
-    over the taps. `backward` hands a node's edges the same g in a row, so
-    the two edges share one gcols, memoised on the identity of g, and the
+    over the taps. The two edges share one gcols (`_once_per_g`), and the
     closures keep only x's data, which x holds anyway. Convs with no gcols
     to share keep `cols` and take dK = (sum_n cols_n @ g_nᵀ)ᵀ: stride 2,
     padding >= min(kH, kW), and wide convs whose input takes no gradient,
     such as the stem (its g has 16 channels, its input 1). Their dx, where
-    x takes one, maps K2ᵀ @ g back to the input with a col2im scatter. A
+    x takes one, scatters K2ᵀ @ g back into the input's taps (`_add_taps`). A
     thin conv has no `cols`, so its dK comes from gcols in any case. The
     routes sum in different float orders; db sums g over batch and space.
     """
@@ -378,17 +392,11 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
             grid[:, :, :span] += np.matmul(taps[t], xf[:, :, s:s + span])
         out = grid.reshape(n, cout, oh, wp)[:, :, :, :ow] + bd[None, :, None, None]
     else:
-        cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N, Cin*kh*kw, oh*ow)
+        cols = _im2col(xp, kh, kw, stride)                      # (N, Cin*kh*kw, oh*ow)
         out = np.matmul(k2, cols)                               # (N, Cout, oh*ow)
         out += bd[None, :, None]
         out = out.reshape(n, cout, oh, ow)
-    memo = [None, None]  # the g the edges were last handed, and its im2col
-
-    def gcols_of(g: np.ndarray) -> np.ndarray:
-        if memo[0] is not g:
-            gp = _pad(g, kh - 1 - padding, kw - 1 - padding)
-            memo[:] = g, _im2col(gp, kh, kw, 1, h, w)
-        return memo[1]
+    gcols_of = _once_per_g(lambda g: _im2col(_pad(g, kh - 1 - padding, kw - 1 - padding), kh, kw, 1))
 
     def vjp_x_full(g: np.ndarray) -> np.ndarray:
         kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
@@ -405,22 +413,14 @@ def conv2d(x: Variable, kernel: Variable, bias: Variable,
         return np.matmul(cols, g2t).sum(axis=0).T.reshape(kd.shape)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        g2 = g.reshape(n, cout, oh * ow)
-        gcols = np.matmul(k2.T, g2).reshape(n, cin, kh, kw, oh, ow)
-        gxp = np.zeros((n, cin, hp, wp), dtype=xd.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
-        if padding:
-            return gxp[:, :, padding:hp - padding, padding:wp - padding]
-        return gxp
-
-    def vjp_b(g: np.ndarray) -> np.ndarray:
-        return g.sum(axis=(0, 2, 3))
+        gcols = np.matmul(k2.T, g.reshape(n, cout, oh * ow)).reshape(n, cin, kh * kw, oh, ow)
+        gxp = _add_taps((n, cin, hp, wp), xd.dtype, np.moveaxis(gcols, 2, 0), kh, kw, stride)
+        return gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp
 
     # only the closures passed on outlive the call, and with them the arrays they read
     vjp_k = vjp_k_full if thin or (full and x.requires_grad) else vjp_k_cols
-    return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k), (bias, vjp_b)])
+    return _op(out, [(x, vjp_x_full if full else vjp_x), (kernel, vjp_k),
+                     (bias, lambda g: g.sum(axis=(0, 2, 3)))])
 
 
 def _forward_only(g: np.ndarray) -> np.ndarray:
@@ -510,8 +510,8 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
     forward-only). It keeps neither the concatenation, the pre-relu values
     nor a relu mask: the mask is out > 0, read from its own output, which
     has the bits of the pre-relu test (NaN and -0.0 included). Each x's VJP
-    is gamma * g * mask on its own channels. `backward` hands every edge of
-    a node the same g in a row, so the edges share one g * mask.
+    is gamma * g * mask on its own channels, and the edges share one
+    g * mask (`_once_per_g`).
     """
     xd, gd, bd = _promoted(_concat_data(xs), gamma.data, beta.data)
     c = xd.shape[1]
@@ -521,12 +521,7 @@ def affine_relu(xs: Sequence[Variable], gamma: Variable, beta: Variable,
     out = xd * gd + bd.reshape(1, c, 1, 1)
     if relu:
         out *= out > 0
-    memo = [None, None]  # the g the edges were last handed, and g * (out > 0)
-
-    def masked(g: np.ndarray) -> np.ndarray:
-        if relu and memo[0] is not g:
-            memo[:] = g, g * (out > 0)
-        return memo[1] if relu else g
+    masked = _once_per_g(lambda g: g * (out > 0)) if relu else (lambda g: g)
 
     spans = _channel_spans(xs)
     edges = [(v, lambda g, lo=lo, hi=hi: masked(g)[:, lo:hi] * gd[:, lo:hi]) for v, lo, hi in spans]

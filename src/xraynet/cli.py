@@ -29,23 +29,16 @@ _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def _parse_binary(text: str) -> tuple[int, int]:
+    """The two classes `--binary` names, as indices; `dataset.binary_filter` checks them."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"--binary expects two classes, got {text!r}")
     out = []
     for p in parts:
-        if p.isdigit():
-            v = int(p)
-            if v >= len(CLASS_NAMES):
-                raise ValueError(f"class index {v} out of range 0..{len(CLASS_NAMES) - 1}")
-        else:
-            try:
-                v = int(ClassLabel[p.capitalize()])
-            except KeyError:
-                raise ValueError(f"unknown class {p!r}; expected one of {CLASS_NAMES}") from None
-        out.append(v)
-    if out[0] == out[1]:
-        raise ValueError("--binary needs two distinct classes")
+        try:
+            out.append(int(p) if p.isdigit() else int(ClassLabel[p.capitalize()]))
+        except KeyError:
+            raise ValueError(f"unknown class {p!r}; expected one of {CLASS_NAMES}") from None
     return out[0], out[1]
 
 

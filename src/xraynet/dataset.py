@@ -190,10 +190,13 @@ def weighted_sample(weights: np.ndarray, n: int, rng: Pcg32) -> np.ndarray:
 
 
 def binary_filter(records: Sequence[SampleRecord], a: int, b: int) -> list[SampleRecord]:
-    """Keep only classes a and b, relabelled to 0 and 1; each must have a
-    Train record, or the task would train on one class."""
+    """Keep only classes a and b, relabelled to 0 and 1: two distinct class
+    indices, each with a Train record, or the task would train on one class."""
+    for c in (a, b):
+        if not 0 <= c < len(CLASS_NAMES):
+            raise ValueError(f"class index {c} out of range 0..{len(CLASS_NAMES) - 1}")
     if a == b:
-        raise ValueError("binary_filter needs two distinct classes")
+        raise ValueError("a binary task needs two distinct classes")
     out = []
     for r in records:
         if r.label == a:

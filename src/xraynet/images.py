@@ -179,15 +179,12 @@ def _bilinear_zero_fill(pix: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.n
     x0 = np.floor(sx).astype(np.int64)
     fy = sy - y0
     fx = sx - x0
-    inside = (y0 >= 0) & (y0 + 1 <= h + 1) & (x0 >= 0) & (x0 + 1 <= w + 1)
-    y0c = np.clip(y0, 0, h) - 1
-    x0c = np.clip(x0, 0, w) - 1
 
     def tap(ys, xs):  # source pixels, zero outside the image
         ok = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
         return np.where(ok, pix[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], 0)
 
-    val = np.where(inside, _bilinear(tap, y0c, y0c + 1, fy, x0c, x0c + 1, fx), 0.0)
+    val = _bilinear(tap, y0 - 1, y0, fy, x0 - 1, x0, fx)
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
 
 

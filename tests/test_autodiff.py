@@ -59,6 +59,47 @@ def reference_conv2d_vjp(x, k, g, stride=1, padding=0):
     return dxp[:, :, padding:padding + h, padding:padding + w], dk
 
 
+def conv_edges_take_each_new_gradient():
+    """Whether the x and kernel edges of full convs, wide and thin, handed
+    one upstream gradient after another, each a new array of the same shape
+    (the second the first with its batch reversed, so the same values),
+    return the loop oracle's gradients of the g they are handed."""
+    rng = Pcg32(41, 0)
+    for cin, cout in ((3, 4), (5, 2)):
+        x = np.floor(rng.uniform_array((2, cin, 5, 5), -4, 5)).astype(np.float32)
+        k = np.floor(rng.uniform_array((cout, cin, 3, 3), -4, 5)).astype(np.float32)
+        xv, kv = Variable(x, requires_grad=True), Variable(k, requires_grad=True)
+        out = ad.conv2d(xv, kv, Variable(np.zeros(cout, np.float32), requires_grad=True), padding=1)
+        gs = np.floor(rng.uniform_array((2, *out.shape), -4, 5)).astype(np.float32)
+        for g in (gs[0], gs[0][::-1].copy(), gs[1]):
+            want = reference_conv2d_vjp(x, k, g, 1, 1)
+            got = [vjp(g) for _, vjp in out._edges[:2]]
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                return False
+    return True
+
+
+def affine_relu_edges_take_each_new_gradient():
+    """Whether the x, gamma and beta edges of an `affine_relu` node, handed
+    one upstream gradient after another, each a new array of the same shape
+    (the second the first reversed along W, so the same values; the third
+    the first's values again), return the gradients of the g they are
+    handed."""
+    x = Variable(np.array([-1.0, 2.0, 3.0, -4.0], np.float32).reshape(1, 2, 1, 2),
+                 requires_grad=True)
+    gamma = Variable(np.array([2.0, 3.0], np.float32), requires_grad=True)
+    beta = Variable(np.zeros(2, np.float32), requires_grad=True)
+    out = ad.affine_relu([x], gamma, beta)
+    mask = np.array([0.0, 1.0, 1.0, 0.0], np.float32).reshape(1, 2, 1, 2)
+    first = np.arange(1.0, 5.0, dtype=np.float32).reshape(1, 2, 1, 2)
+    for g in (first, first[..., ::-1].copy(), first.copy()):
+        want = (g * mask * gamma.data.reshape(1, 2, 1, 1), (g * mask * x.data).sum(axis=(0, 2, 3)),
+                (g * mask).sum(axis=(0, 2, 3)))
+        if not all(np.array_equal(f(g), w) for (_, f), w in zip(out._edges, want)):
+            return False
+    return True
+
+
 class TestConv2d:
     def test_all_ones_window_sum(self):
         x = Variable(np.ones((1, 1, 3, 3), dtype=np.float32))
@@ -153,41 +194,8 @@ class TestConv2d:
                 npt.assert_array_equal(v.grad, want.astype(np.float32))
         assert x_grad or xv._grad is None
 
-    @staticmethod
-    def _edges_take_each_new_gradient(conv2d):
-        """Whether the x and kernel edges of full convs, wide and thin, handed
-        one upstream gradient after another, each a new array of the same
-        shape (the second the first with its batch reversed, so the same
-        values), return the loop oracle's gradients of the g they are
-        handed."""
-        rng = Pcg32(41, 0)
-        for cin, cout in ((3, 4), (5, 2)):
-            x = np.floor(rng.uniform_array((2, cin, 5, 5), -4, 5)).astype(np.float32)
-            k = np.floor(rng.uniform_array((cout, cin, 3, 3), -4, 5)).astype(np.float32)
-            xv, kv = Variable(x, requires_grad=True), Variable(k, requires_grad=True)
-            out = conv2d(xv, kv, Variable(np.zeros(cout, np.float32), requires_grad=True), padding=1)
-            gs = np.floor(rng.uniform_array((2, *out.shape), -4, 5)).astype(np.float32)
-            for g in (gs[0], gs[0][::-1].copy(), gs[1]):
-                want = reference_conv2d_vjp(x, k, g, 1, 1)
-                got = [vjp(g) for _, vjp in out._edges[:2]]
-                if not all(np.array_equal(a, b) for a, b in zip(got, want)):
-                    return False
-        return True
-
     def test_full_conv_edges_take_each_new_gradient(self):
-        assert self._edges_take_each_new_gradient(ad.conv2d)
-
-    @pytest.mark.parametrize("key", [
-        "memo[0] is None",                                   # the first g only
-        "memo[0] is None or memo[0].shape != g.shape",       # the shape of g
-        "memo[0] is None or memo[0].sum() != g.sum()",       # the values of g, not their order
-    ])
-    def test_memo_keyed_on_anything_but_the_identity_of_g_caught(self, key):
-        src = inspect.getsource(ad.conv2d)
-        assert src.count("memo[0] is not g") == 1
-        namespace = dict(vars(ad))
-        exec(src.replace("memo[0] is not g", key), namespace)
-        assert not self._edges_take_each_new_gradient(namespace["conv2d"])
+        assert conv_edges_take_each_new_gradient()
 
     def test_thin_forward_allocates_no_unrolled_input(self):
         # a dense1.layer3-shaped conv: im2col would copy the input k² = 9 times
@@ -332,17 +340,35 @@ class TestBatchNorm:
     def test_affine_relu_edges_take_each_new_gradient(self):
         # the edges share one masked gradient per g handed to them: a second
         # g of other values, even at an equal shape, must not reuse the first
-        x = Variable(np.array([-1.0, 2.0, 3.0, -4.0], np.float32).reshape(1, 2, 1, 2),
-                     requires_grad=True)
-        gamma = Variable(np.array([2.0, 3.0], np.float32), requires_grad=True)
-        beta = Variable(np.zeros(2, np.float32), requires_grad=True)
-        out = ad.affine_relu([x], gamma, beta)
-        mask = np.array([0.0, 1.0, 1.0, 0.0], np.float32).reshape(1, 2, 1, 2)
-        for g in (np.ones_like(x.data), np.full_like(x.data, 5.0), np.ones_like(x.data)):
-            dx, dgamma, dbeta = (f(g) for _, f in out._edges)
-            npt.assert_array_equal(dx, g * mask * gamma.data.reshape(1, 2, 1, 1))
-            npt.assert_array_equal(dgamma, (g * mask * x.data).sum(axis=(0, 2, 3)))
-            npt.assert_array_equal(dbeta, (g * mask).sum(axis=(0, 2, 3)))
+        assert affine_relu_edges_take_each_new_gradient()
+
+
+class TestOncePerG:
+    """`_once_per_g` is the one memo of the gradient work a node's edges
+    share; `conv2d` and `affine_relu` both go through it."""
+
+    def test_fn_runs_once_per_g_object(self):
+        calls = []
+        shared = ad._once_per_g(lambda g: calls.append(g) or g * 2)
+        g = np.ones(3)
+        assert shared(g) is shared(g)
+        assert len(calls) == 1
+        npt.assert_array_equal(shared(g.copy()), [2.0, 2.0, 2.0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("key", [
+        "memo[0] is None",                                   # the first g only
+        "memo[0] is None or memo[0].shape != g.shape",       # the shape of g
+        "memo[0] is None or memo[0].sum() != g.sum()",       # the values of g, not their order
+    ])
+    def test_memo_keyed_on_anything_but_the_identity_of_g_caught(self, key, monkeypatch):
+        src = inspect.getsource(ad._once_per_g)
+        assert src.count("memo[0] is not g") == 1
+        namespace = dict(vars(ad))
+        exec(src.replace("memo[0] is not g", key), namespace)
+        monkeypatch.setattr(ad, "_once_per_g", namespace["_once_per_g"])
+        assert not conv_edges_take_each_new_gradient()
+        assert not affine_relu_edges_take_each_new_gradient()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bit_identical_to_numpy_sequence(self, dtype):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import xraynet
-from xraynet import verification
+from xraynet import training, verification
 from xraynet.checkpoint import read_checkpoint, save_checkpoint
 from xraynet.cli import build_parser, main
 from xraynet.dataset import default_mapping, parse_manifest
@@ -297,6 +297,32 @@ class TestTrain:
         config = json.loads((out / "config.json").read_text())
         assert config["num_classes"] == 2
 
+    @pytest.mark.parametrize("augment", [True, False])
+    def test_no_augment_builds_every_batch_without_augmentation_streams(
+            self, tmp_path, monkeypatch, augment):
+        batch_rngs, tags = [], []  # each train batch's streams, each stream's tag
+        real_make_batch, real_derive_stream = training.make_batch, training.derive_stream
+
+        def make_batch(*args):
+            if len(args) == 5:  # a train batch; an eval batch passes no streams
+                batch_rngs.append(args[4])
+            return real_make_batch(*args)
+
+        def derive_stream(seed, tag, *rest):
+            tags.append(tag)
+            return real_derive_stream(seed, tag, *rest)
+
+        monkeypatch.setattr(training, "make_batch", make_batch)
+        monkeypatch.setattr(training, "derive_stream", derive_stream)
+        out = tmp_path / "r"
+        assert run("train", "--preset", "RCE", "--synthetic", "3", "--size", "16",
+                   "--epochs", "2", "--batch-size", "4", "--seed", "3", "--out", str(out),
+                   *(() if augment else ("--no-augment",))) == 0
+        assert json.loads((out / "config.json").read_text())["augment"] is augment
+        assert len(batch_rngs) == 4  # 2 epochs of 2 batches
+        assert all((rngs is not None) is augment for rngs in batch_rngs)
+        assert ("augment" in tags) is augment
+
     def test_binary_by_index_matches_binary_by_name(self, tmp_path):
         args = ("train", "--preset", "RCE", "--synthetic", "3", "--size", "16",
                 "--epochs", "1", "--batch-size", "4", "--seed", "3")
@@ -307,6 +333,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("binary, message", [
         ("4,0", "class index 4 out of range 0..3"),
+        ("0,7", "class index 7 out of range 0..3"),
+        ("0,-1", "unknown class '-1'"),
         ("Normal,Flu", "unknown class 'Flu'"),
         ("2,Virus", "two distinct classes"),
         ("1", "expects two classes"),

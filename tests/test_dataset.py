@@ -218,6 +218,13 @@ class TestBinaryFilter:
         with pytest.raises(ValueError, match="distinct"):
             binary_filter(records, 0, 0)
 
+    @pytest.mark.parametrize("a, b, bad", [(0, 7, 7), (4, 0, 4), (0, -1, -1), (-2, 9, -2)])
+    def test_class_index_outside_the_classes_rejected(self, a, b, bad):
+        # the index is named in the error, not looked up as a class name
+        records = [SampleRecord("a", 0, "Train"), SampleRecord("b", 3, "Train")]
+        with pytest.raises(ValueError, match=re.escape(f"class index {bad} out of range 0..3")):
+            binary_filter(records, a, b)
+
     def test_empty_result_rejected(self):
         records = [SampleRecord("a", 0, "Train")]
         with pytest.raises(ValueError, match="no records"):

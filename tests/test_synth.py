@@ -96,6 +96,11 @@ class TestBundle:
         assert counts.sum() + len(bundle.val) == 24
         assert {r.label for r in bundle.test} == {0, 1}
 
+    @pytest.mark.parametrize("binary, bad", [((0, 7), 7), ((4, 0), 4), ((0, -1), -1)])
+    def test_binary_class_index_outside_the_classes_rejected(self, binary, bad):
+        with pytest.raises(ValueError, match=f"class index {bad} out of range 0..3"):
+            synthetic_bundle(3, size=16, binary=binary)
+
     def test_binary_bundle_without_test_records_fails_in_fit(self):
         bundle = synthetic_bundle((3, 0, 3, 0), size=16, seed=2,
                                   test_per_class=(0, 3, 0, 3), binary=(0, 2))
